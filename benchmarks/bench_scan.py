@@ -39,7 +39,8 @@ def time_scan(scan, matrix, backend: str, repeats: int) -> float:
         start = time.perf_counter()
         result = scan(matrix, backend=backend)
         best = min(best, time.perf_counter() - start)
-        assert result is None
+        if result is not None:
+            raise RuntimeError(f"{backend} scan found {result} in a table valid by construction")
     return best
 
 
@@ -52,7 +53,8 @@ def main() -> None:
 
     if not kernels.compiled_available():
         print("compiled backend not built; timing the pure reference only")
-    header = f"{'n':>5} {'scan':>12} {'pure (ms)':>12} {'compiled (ms)':>14} {'speedup':>9}"
+    header = (f"{'n':>5} {'scan':>12} {'active':>9} {'pure (ms)':>12} "
+              f"{'compiled (ms)':>14} {'speedup':>9}")
     print(header)
     print("-" * len(header))
     for n in sizes:
@@ -60,7 +62,7 @@ def main() -> None:
         for label, matrix in (("axioms", space.matrix), ("p_m metric", p_m_matrix(space))):
             scan = kernels.axiom_scan if label == "axioms" else kernels.metric_scan
             pure = time_scan(scan, matrix, "pure", args.repeats)
-            row = f"{n:>5} {label:>12} {pure * 1e3:>12.2f}"
+            row = f"{n:>5} {label:>12} {kernels.active_backend():>9} {pure * 1e3:>12.2f}"
             if kernels.compiled_available():
                 fast = time_scan(scan, matrix, "compiled", args.repeats)
                 row += f" {fast * 1e3:>14.2f} {pure / fast:>8.1f}x"

@@ -340,33 +340,34 @@ def specialization_order(space: FinitePMSpace) -> SpecializationOrder:
     return SpecializationOrder(space.points, dom)
 
 
-def _candidate_radii(space: FinitePMSpace) -> list[Fraction]:
-    """Radii probing every ball configuration: thresholds, midpoints, extremes."""
-    gaps = sorted({space.matrix[i][j] - space.matrix[i][i]
-                   for i in range(len(space)) for j in range(len(space))
-                   if space.matrix[i][j] > space.matrix[i][i]})
-    if not gaps:
-        return [Fraction(1)]
-    radii = [gaps[0] / 2]
-    radii.extend(gaps)
-    radii.extend((gaps[t] + gaps[t + 1]) / 2 for t in range(len(gaps) - 1))
-    radii.append(gaps[-1] + 1)
-    return sorted(set(radii))
+def _least_gap(space: FinitePMSpace) -> Optional[Fraction]:
+    """Smallest positive p(x,y) - p(x,x) over the table, or None when there is none."""
+    m, n = space.matrix, len(space)
+    gaps = [m[i][j] - m[i][i] for i in range(n) for j in range(n) if m[i][j] > m[i][i]]
+    return min(gaps) if gaps else None
 
 
 def maximal_points(space: FinitePMSpace) -> frozenset:
-    """Points with no proper dominator; their balls cover the space at every radius."""
+    """Points with no proper dominator; their balls cover the space at every radius.
+
+    The cover is rechecked at one radius: half the least positive gap, or
+    1 when there is none. Balls only grow with the radius, so a cover
+    there is a cover at every radius, and a failure at any radius implies
+    one there. Cost: O(n^3) for the order check, O(n^2) for the cover,
+    whatever the table values.
+    """
     order = specialization_order(space)
     n = len(space)
     maximal = [j for j in range(n)
                if not any(i != j and order.matrix[i][j] for i in range(n))]
     hats = frozenset(space.points[j] for j in maximal)
-    for eps in _candidate_radii(space):
-        covered = set()
-        for j in maximal:
-            covered |= ball(space, space.points[j], eps)
-        if covered != set(space.points):
-            raise RuntimeError(f"maximal balls fail to cover at radius {eps}")
+    gap = _least_gap(space)
+    eps = gap / 2 if gap is not None else Fraction(1)
+    covered = set()
+    for j in maximal:
+        covered |= ball(space, space.points[j], eps)
+    if covered != set(space.points):
+        raise RuntimeError(f"maximal balls fail to cover at radius {eps}")
     return hats
 
 
@@ -387,25 +388,20 @@ def gdelta_diagonal(space: FinitePMSpace) -> GDeltaReport:
     Ball membership y in B(x, 1/n) only depends on whether
     p(x,y) - p(x,x) < 1/n, so once 1/n drops below the smallest positive
     gap g nothing changes; the sets shrink with n, hence the infinite
-    intersection equals the one at n0 = ceil(1/g).
+    intersection equals the set at n0 = ceil(1/g), which is the only one
+    evaluated. Cost: O(n^3), whatever the table values.
     """
     m, n = space.matrix, len(space)
     t1 = separation_class(space).t1
-    gaps = [m[i][j] - m[i][i] for i in range(n) for j in range(n) if m[i][j] > m[i][i]]
-    n0 = max(1, math.ceil(1 / min(gaps))) if gaps else 1
-
-    def product_pairs(eps: Fraction) -> frozenset:
-        members = []
-        for c in range(n):
-            inside = [i for i in range(n) if m[c][i] - m[c][c] < eps]
-            members.extend((i, j) for i in inside for j in inside)
-        return frozenset(members)
-
-    inter = product_pairs(Fraction(1, 1))
-    for k in range(2, n0 + 1):
-        inter &= product_pairs(Fraction(1, k))
-    diagonal = frozenset((i, i) for i in range(n))
-    return GDeltaReport(t1, n0, inter == diagonal)
+    gap = _least_gap(space)
+    n0 = max(1, math.ceil(1 / gap)) if gap is not None else 1
+    eps = Fraction(1, n0)
+    members = set()
+    for c in range(n):
+        inside = [i for i in range(n) if m[c][i] - m[c][c] < eps]
+        members.update((i, j) for i in inside for j in inside)
+    diagonal = {(i, i) for i in range(n)}
+    return GDeltaReport(t1, n0, members == diagonal)
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,7 @@ def _resolve_point(space: Space, text: str) -> Point:
 
 
 def _resolve_sequence(arg: str, horizon: Optional[int]) -> tuple[SequenceSpec, int]:
-    eff_horizon = horizon or DEFAULT_HORIZON
+    eff_horizon = DEFAULT_HORIZON if horizon is None else horizon
     try:
         return catalog_sequence(arg), eff_horizon
     except PMError:
@@ -107,7 +107,7 @@ def _resolve_sequence(arg: str, horizon: Optional[int]) -> tuple[SequenceSpec, i
         return SequenceSpec.explicit(parse_point_ids([str(s) for s in doc["explicit"]])), eff_horizon
     if "generator" in doc:
         seq = catalog_sequence(str(doc["generator"]))
-        return seq, horizon or int(doc.get("horizon", DEFAULT_HORIZON))
+        return seq, horizon if horizon is not None else int(doc.get("horizon", DEFAULT_HORIZON))
     raise StructureError("sequence JSON needs 'explicit' or 'generator'")
 
 
@@ -130,6 +130,7 @@ def _cmd_axioms(args) -> int:
 def _cmd_analyze(args) -> int:
     _, space = _resolve_space(args.space)
     seq, horizon = _resolve_sequence(args.seq, args.horizon)
+    seq.effective_horizon(horizon)  # rejects a horizon below 1, for periodic specs too
     tol = parse_rational(args.tol) if args.tol else DEFAULT_TOL
     if args.mode == "cauchy":
         rep = is_cauchy(space, seq, tol=tol, horizon=horizon)

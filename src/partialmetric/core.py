@@ -107,6 +107,8 @@ class FinitePMSpace:
         except (KeyError, TypeError) as exc:
             raise StructureError(f"space JSON needs 'points' and 'p': {exc}") from exc
         points = parse_point_ids([str(s) for s in ids])
+        if not all(isinstance(row, list) for row in rows):
+            raise StructureError("each row of 'p' must be a list")
         try:
             matrix = [[parse_rational(str(v)) for v in row] for row in rows]
         except ValueError as exc:

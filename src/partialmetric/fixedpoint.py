@@ -110,10 +110,14 @@ def check_contraction(space, T: MapSpec, alpha: Fraction, pairs=None) -> Conditi
     return _check_pairwise(space, "contraction", (("alpha", alpha),), lhs_rhs, pairs)
 
 
-def check_condition_max(space, T: MapSpec, alpha: Fraction, pairs=None) -> ConditionReport:
-    """p(T(x),T(y)) <= max{alpha p(x,y), p(x,x), p(y,y)} over the pair set."""
+def _check_max_factor(alpha: Fraction) -> None:
     if not 0 <= alpha < 1:
         raise ValueError("the factor must lie in [0, 1)")
+
+
+def check_condition_max(space, T: MapSpec, alpha: Fraction, pairs=None) -> ConditionReport:
+    """p(T(x),T(y)) <= max{alpha p(x,y), p(x,x), p(y,y)} over the pair set."""
+    _check_max_factor(alpha)
 
     def lhs_rhs(x, y):
         lhs = space.p(_apply_in(space, T, x), _apply_in(space, T, y))
@@ -329,14 +333,19 @@ def constant_map_bottom(space: FinitePMSpace,
     """Points whose constant map satisfies the max-condition at every grid factor.
 
     For a constant map the left side is alpha-free and the right side is
-    nondecreasing in alpha, so the verdict is the same at every factor;
-    the result must coincide with the bottom set and that is rechecked.
+    nondecreasing in alpha, so the condition holds at every grid factor
+    iff it holds at the least one, the only factor checked (after every
+    factor is validated). An empty grid keeps every point. The result
+    must coincide with the bottom set and that is rechecked. Cost:
+    O(n^3) plus one pass over the grid, whatever the table values.
     """
-    survivors = []
-    for z in space.points:
-        T = MapSpec.constant(z)
-        if all(check_condition_max(space, T, a).ok for a in alphas):
-            survivors.append(z)
+    for a in alphas:
+        _check_max_factor(a)
+    survivors = list(space.points)
+    if alphas:
+        least = min(alphas)
+        survivors = [z for z in survivors
+                     if check_condition_max(space, MapSpec.constant(z), least).ok]
     if set(survivors) != set(bottom_set(space)):
         raise RuntimeError("constant-map survivors differ from the bottom set")
     return tuple(survivors)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable
 
 from . import kernels
 from .analysis import gdelta_diagonal, maximal_points, specialization_order
@@ -119,14 +119,16 @@ def check_space_properties(space: FinitePMSpace, alpha: Fraction = Fraction(1, 2
     return problems
 
 
-def property_run(seeds: Sequence[int], max_n: int = 7,
+def property_run(seeds: Iterable[int], max_n: int = 7,
                  alpha: Fraction = Fraction(1, 2)) -> PropertyRunResult:
     """Run the full suite over random spaces with n = (seed mod max_n) + 1."""
     start = time.monotonic()
     failures: list[PropertyFailure] = []
+    checked = 0
     for seed in seeds:
+        checked += 1
         n = seed % max_n + 1
         space = random_pm_space(seed, n)
         for problem in check_space_properties(space, alpha):
             failures.append(PropertyFailure(seed, n, problem.split(":")[0], problem))
-    return PropertyRunResult(len(list(seeds)), tuple(failures), time.monotonic() - start)
+    return PropertyRunResult(checked, tuple(failures), time.monotonic() - start)

@@ -1,11 +1,20 @@
 """Independent brute-force oracles used to freeze expected values.
 
-These deliberately avoid the package's kernels and normalization: plain
-Fraction comparisons in the same canonical scan order, plus a complete
-radius-scan decision for the Hausdorff property.
+The scan oracles deliberately avoid the package's kernels and
+normalization: plain Fraction comparisons in the same canonical scan
+order, plus a complete radius-scan decision for the Hausdorff property.
+The sweep references at the end are the radius and factor sweeps that
+gdelta_diagonal, maximal_points and constant_map_bottom once ran in
+full; they reuse the package's other pieces unchanged.
 """
 
+import math
 from fractions import Fraction
+
+from partialmetric.analysis import GDeltaReport, specialization_order
+from partialmetric.catalog import MapSpec
+from partialmetric.core import ball, bottom_set, separation_class
+from partialmetric.fixedpoint import DEFAULT_ALPHA_GRID, check_condition_max
 
 
 def axiom_violation(matrix):
@@ -84,3 +93,52 @@ def hausdorff_by_radius_scan(matrix):
             if not any(not (ball(i, e1) & ball(j, e2)) for e1 in radii for e2 in radii):
                 return False
     return True
+
+
+def gdelta_by_sweep(space):
+    """gdelta_diagonal by intersecting the product-ball sets at eps = 1/k, k = 1..n0."""
+    m, n = space.matrix, len(space)
+    t1 = separation_class(space).t1
+    gaps = [m[i][j] - m[i][i] for i in range(n) for j in range(n) if m[i][j] > m[i][i]]
+    n0 = max(1, math.ceil(1 / min(gaps))) if gaps else 1
+
+    def product_pairs(eps):
+        members = []
+        for c in range(n):
+            inside = [i for i in range(n) if m[c][i] - m[c][c] < eps]
+            members.extend((i, j) for i in inside for j in inside)
+        return frozenset(members)
+
+    inter = product_pairs(Fraction(1, 1))
+    for k in range(2, n0 + 1):
+        inter &= product_pairs(Fraction(1, k))
+    diagonal = frozenset((i, i) for i in range(n))
+    return GDeltaReport(t1, n0, inter == diagonal)
+
+
+def maximal_points_by_sweep(space):
+    """maximal_points with the maximal-ball cover checked at every candidate radius."""
+    order = specialization_order(space)
+    n = len(space)
+    maximal = [j for j in range(n)
+               if not any(i != j and order.matrix[i][j] for i in range(n))]
+    hats = frozenset(space.points[j] for j in maximal)
+    for eps in _candidate_radii(space.matrix):
+        covered = set()
+        for j in maximal:
+            covered |= ball(space, space.points[j], eps)
+        if covered != set(space.points):
+            raise RuntimeError(f"maximal balls fail to cover at radius {eps}")
+    return hats
+
+
+def constant_map_bottom_by_sweep(space, alphas=DEFAULT_ALPHA_GRID):
+    """constant_map_bottom with the max-condition checked at every grid factor."""
+    survivors = []
+    for z in space.points:
+        T = MapSpec.constant(z)
+        if all(check_condition_max(space, T, a).ok for a in alphas):
+            survivors.append(z)
+    if set(survivors) != set(bottom_set(space)):
+        raise RuntimeError("constant-map survivors differ from the bottom set")
+    return tuple(survivors)

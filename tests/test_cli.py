@@ -38,6 +38,12 @@ class TestAxioms:
         code, _, err = run(capsys, "axioms", "--space", str(bad))
         assert code == 2 and "error" in err
 
+    def test_non_list_rows_exit_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"points": ["a", "b"], "p": [1, 2]}))
+        code, _, err = run(capsys, "axioms", "--space", str(bad))
+        assert code == 2 and "error" in err
+
     def test_unknown_space_exits_two(self, capsys):
         code, _, err = run(capsys, "axioms", "--space", "ex9.1")
         assert code == 2 and "error" in err
@@ -80,6 +86,20 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", "seq", "--space", "ex4.8",
                          "--seq", str(seq), "--target", "0/1", "--tol", "1/25")
         assert code == 0
+
+    @pytest.mark.parametrize("seq", ["ex4.8.naturals", "ex3.2.alt"])
+    def test_horizon_zero_exits_two(self, capsys, seq):
+        space = seq.rsplit(".", 1)[0]
+        code, _, err = run(capsys, "analyze", "seq", "--space", space, "--seq", seq,
+                           "--target", "0/1", "--horizon", "0")
+        assert code == 2 and "horizon" in err
+
+    def test_horizon_zero_overrides_generator_file(self, capsys, tmp_path):
+        seq = tmp_path / "seq.json"
+        seq.write_text(json.dumps({"generator": "ex4.8.naturals", "horizon": 100}))
+        code, _, err = run(capsys, "analyze", "seq", "--space", "ex4.8",
+                           "--seq", str(seq), "--target", "0/1", "--horizon", "0")
+        assert code == 2 and "horizon" in err
 
 
 class TestTopology:

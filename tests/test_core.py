@@ -284,6 +284,11 @@ class TestJson:
         with pytest.raises(StructureError):
             FinitePMSpace.from_json(json.dumps({"points": ["a"], "p": [["x/y"]]}))
 
+    def test_non_list_rows_are_structural(self):
+        for rows in ([1, 2], ["0/1", "1/1"], [["0/1", "1/1"], {"a": 1}], "ab"):
+            with pytest.raises(StructureError, match="row"):
+                FinitePMSpace.from_json_dict({"points": ["a", "b"], "p": rows})
+
     def test_restrict_preserves_order(self):
         sp = random_pm_space(9, 6)
         sub = sp.restrict([sp.points[4], sp.points[1]])

@@ -1,0 +1,104 @@
+"""The single-evaluation probes against the sweeps they replace.
+
+gdelta_diagonal, maximal_points and constant_map_bottom each evaluate a
+test that is monotone in its parameter once, at the parameter value
+that decides it. The references in oracles.py evaluate it at every
+point of the old sweep; results and raised errors must be identical.
+"""
+
+import random
+from fractions import Fraction
+
+from partialmetric import (
+    FinitePMSpace,
+    catalog_names,
+    catalog_space,
+    constant_map_bottom,
+    gdelta_diagonal,
+    maximal_points,
+    random_pm_space,
+)
+
+from oracles import constant_map_bottom_by_sweep, gdelta_by_sweep, maximal_points_by_sweep
+
+F = Fraction
+
+ALPHA_GRIDS = (
+    None,  # the default grid
+    (),
+    (F(0),),
+    (F(3, 4), F(1, 2)),
+    (F(1, 2), F(1)),
+    (F(-1, 2), F(0)),
+)
+
+
+def _corrupted(seed: int) -> FinitePMSpace:
+    """A random valid table with one entry replaced by a small rational."""
+    rng = random.Random(f"sweeps/{seed}")
+    sp = random_pm_space(seed, seed % 6 + 2)
+    n = len(sp)
+    rows = [list(row) for row in sp.matrix]
+    rows[rng.randrange(n)][rng.randrange(n)] = F(rng.randint(0, 48), rng.choice((4, 12, 24)))
+    return FinitePMSpace(sp.points, rows)
+
+
+def _tables():
+    for seed in range(60):
+        yield f"random/{seed}", random_pm_space(seed, seed % 7 + 1)
+        yield f"zero_f/{seed}", random_pm_space(seed, seed % 7 + 1, zero_f=True)
+        yield f"corrupted/{seed}", _corrupted(seed)
+    for name in catalog_names():
+        yield f"catalog/{name}", catalog_space(name).finite_sample()
+
+
+TABLES = list(_tables())
+
+
+def _outcome(fn, *args):
+    """(result, None) on success, (None, (exception type, message)) on error."""
+    try:
+        return fn(*args), None
+    except Exception as exc:  # the comparison covers every error either side raises
+        return None, (type(exc), str(exc))
+
+
+def test_tables_reach_every_outcome():
+    errors = [_outcome(maximal_points, sp)[1] for _, sp in TABLES]
+    assert any(e is None for e in errors) and any(e is not None for e in errors)
+    raised = {_outcome(constant_map_bottom, sp, grid)[1] for _, sp in TABLES
+              for grid in ALPHA_GRIDS if grid is not None}
+    assert {e[0] for e in raised if e is not None} == {ValueError, RuntimeError}
+    gds = [gdelta_diagonal(sp) for _, sp in TABLES]
+    assert any(g.equals_diagonal for g in gds) and any(not g.equals_diagonal for g in gds)
+    assert max(g.stabilization_n for g in gds) > 1
+
+
+def test_gdelta_matches_sweep():
+    for label, space in TABLES:
+        got, want = _outcome(gdelta_diagonal, space), _outcome(gdelta_by_sweep, space)
+        assert got == want, label
+        if got[0] is not None:
+            assert got[0].to_dict() == want[0].to_dict(), label
+
+
+def test_maximal_points_matches_sweep():
+    for label, space in TABLES:
+        assert _outcome(maximal_points, space) == _outcome(maximal_points_by_sweep, space), label
+
+
+def test_constant_map_bottom_matches_sweep():
+    for label, space in TABLES:
+        for grid in ALPHA_GRIDS:
+            args = (space,) if grid is None else (space, grid)
+            got = _outcome(constant_map_bottom, *args)
+            assert got == _outcome(constant_map_bottom_by_sweep, *args), (label, grid)
+
+
+def test_gdelta_tiny_gap_is_one_evaluation():
+    # The 1/k sweep would step through 10**9 radii here.
+    gap = F(1, 10**9)
+    gd = gdelta_diagonal(FinitePMSpace(["a", "b"], [[F(0), gap], [gap, F(0)]]))
+    assert gd.stabilization_n == 10**9
+    assert gd.t1 and gd.equals_diagonal
+
