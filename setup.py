@@ -1,11 +1,7 @@
-import os
-
 from setuptools import Extension, setup
 
 
 def extensions():
-    if os.environ.get("PARTIALMETRIC_NO_EXT") == "1":
-        return []
     try:
         from Cython.Build import cythonize
     except ImportError:

@@ -52,7 +52,7 @@ from .core import (
     diameter,
     p_bar,
     p_m,
-    rho_p,
+    rho_of,
     separation_class,
 )
 from .errors import (

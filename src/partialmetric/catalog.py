@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 from .analysis import SequenceSpec
 from .core import FinitePMSpace, check_axioms
 from .errors import CatalogKeyError, DomainError, UnsupportedSequenceError
-from .points import FSet, Point, format_point
+from .points import FSet, Point, format_point, resolve_point
 
 F = Fraction
 
@@ -514,15 +514,14 @@ def catalog_space(name: str) -> CatalogSpace:
     return get_entry(name).space
 
 
-def catalog_map(name: str) -> MapSpec:
-    """Look up a map id: "ex3.4.T", "ex5.4.T", or "const.<point id>"."""
+def catalog_map(name: str, points: Sequence[Point] = ()) -> MapSpec:
+    """Look up a map id: "ex3.4.T", "ex5.4.T", or "const.<point id>".
+
+    The id after "const." is resolved against ``points`` (see
+    :func:`resolve_point`), so it can name any point those hold.
+    """
     if name.startswith("const."):
-        ident = name[len("const."):]
-        try:
-            z: Point = Fraction(ident)
-        except (ValueError, ZeroDivisionError):
-            z = ident
-        return MapSpec.constant(z, name=name)
+        return MapSpec.constant(resolve_point(points, name[len("const."):]), name=name)
     for entry in _ENTRIES.values():
         for key, spec in entry.maps:
             if key == name:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import kernels
 from .errors import DomainError, StructureError
@@ -102,13 +102,14 @@ class FinitePMSpace:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FinitePMSpace":
         try:
-            ids = list(doc["points"])
-            rows = list(doc["p"])
+            ids, rows = doc["points"], doc["p"]
         except (KeyError, TypeError) as exc:
             raise StructureError(f"space JSON needs 'points' and 'p': {exc}") from exc
+        if not isinstance(ids, list):
+            raise StructureError("'points' must be a list of point ids")
         points = parse_point_ids([str(s) for s in ids])
-        if not all(isinstance(row, list) for row in rows):
-            raise StructureError("each row of 'p' must be a list")
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise StructureError("'p' must be a list of rows, each a list")
         try:
             matrix = [[parse_rational(str(v)) for v in row] for row in rows]
         except ValueError as exc:
@@ -146,13 +147,13 @@ class AxiomReport:
         }
 
 
-def check_axioms(space: FinitePMSpace, backend: Optional[str] = None) -> AxiomReport:
+def check_axioms(space: FinitePMSpace) -> AxiomReport:
     """Check P1-P4 over every pair and triple.
 
     The scan is axiom-major and lexicographic in point indices, so the
     first violation is deterministic and reproducible.
     """
-    hit = kernels.axiom_scan(space.matrix, backend=backend)
+    hit = kernels.axiom_scan(space.matrix)
     if hit is None:
         return AxiomReport("pass", None, (), {})
     m, pts = space.matrix, space.points
@@ -172,27 +173,19 @@ def check_axioms(space: FinitePMSpace, backend: Optional[str] = None) -> AxiomRe
     return AxiomReport("fail", AXIOM_NAMES[hit.code], witness, values)
 
 
-# Anything with an exact pairwise distance works for the derived metrics:
-# finite tables here, formula-backed catalog spaces elsewhere.
-Space = Union[FinitePMSpace, "SupportsP"]
-
-
-class SupportsP:
-    def p(self, x: Point, y: Point) -> Fraction:  # pragma: no cover - protocol only
-        raise NotImplementedError
-
-
-def p_m(space: Space, x: Point, y: Point) -> Fraction:
+# Any object with an exact pairwise distance p(x, y) works for the derived
+# metrics: finite tables here, formula-backed catalog spaces elsewhere.
+def p_m(space, x: Point, y: Point) -> Fraction:
     """Induced metric 2 p(x,y) - p(x,x) - p(y,y); always a true metric."""
     return 2 * space.p(x, y) - space.p(x, x) - space.p(y, y)
 
 
-def d_metric(space: Space, x: Point, y: Point) -> Fraction:
+def d_metric(space, x: Point, y: Point) -> Fraction:
     """The discrete-collapse metric: p(x,y) off the diagonal, 0 on it."""
     return Fraction(0) if x == y else space.p(x, y)
 
 
-def rho_of(space: Space) -> Fraction:
+def rho_of(space) -> Fraction:
     """Infimum of self-distances: computed for finite tables, declared otherwise."""
     if isinstance(space, FinitePMSpace):
         return min(space.matrix[i][i] for i in range(len(space)))
@@ -204,23 +197,18 @@ def rho_of(space: Space) -> Fraction:
     return declared
 
 
-def p_bar(space: Space, x: Point, y: Point) -> Fraction:
+def p_bar(space, x: Point, y: Point) -> Fraction:
     """Shifted distance p(x,y) - rho; a metric when restricted to the bottom set."""
     return space.p(x, y) - rho_of(space)
 
 
-def rho_p(space: FinitePMSpace) -> tuple[Fraction, bool]:
-    """(min self-distance, attained). The infimum of a finite table is a minimum."""
-    return min(space.matrix[i][i] for i in range(len(space))), True
-
-
 def bottom_set(space: FinitePMSpace) -> tuple[Point, ...]:
     """Points whose self-distance attains the minimum; never empty here."""
-    rho, _ = rho_p(space)
+    rho = rho_of(space)
     return tuple(p for i, p in enumerate(space.points) if space.matrix[i][i] == rho)
 
 
-def ball(space: Space, center: Point, eps: Fraction):
+def ball(space, center: Point, eps: Fraction):
     """Open ball {y : p(center,y) < p(center,center) + eps}.
 
     Materialized as a frozenset for finite tables; a membership predicate
@@ -291,8 +279,3 @@ def p_bar_matrix(space: FinitePMSpace, restrict: Optional[Iterable[Point]] = Non
     pts = tuple(restrict) if restrict is not None else space.points
     rho = rho_of(space)
     return [[space.p(x, y) - rho for y in pts] for x in pts]
-
-
-def is_metric_table(matrix: Sequence[Sequence[Fraction]]) -> bool:
-    """True when the table satisfies all metric axioms (exhaustive scan)."""
-    return kernels.metric_scan(matrix) is None

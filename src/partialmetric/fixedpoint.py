@@ -70,7 +70,11 @@ class ConditionReport:
 
 
 def _apply_in(space, T: MapSpec, x: Point) -> Point:
-    y = T.apply(x)
+    try:
+        y = T.apply(x)
+    except (TypeError, AttributeError) as exc:
+        # a formula map applied to a point of another kind, e.g. ex5.4.T on a set
+        raise DomainError(f"map {T.name} is not defined at {format_point(x)}") from exc
     if not space.contains(y):
         raise MapClosureError(
             f"map {T.name} sends {format_point(x)} to {format_point(y)}, outside the space")
@@ -367,15 +371,24 @@ def exhaustive_condition_maps(space: FinitePMSpace, condition: str, *,
                               alpha: Optional[Fraction] = None,
                               alphas: Optional[Sequence[Fraction]] = None,
                               k: Optional[int] = None) -> list[MapSpec]:
-    """All self-maps of a tiny space satisfying the condition, in table order."""
+    """All self-maps of a tiny space satisfying the condition, in table order.
+
+    Under the max-condition the left side is alpha-free and the right side
+    is nondecreasing in alpha, so a map passes every grid factor iff it
+    passes the least one, the only factor checked (after every factor is
+    validated).
+    """
     n = len(space)
     if n > 5:
         raise SizeLimitError(f"{n}**{n} maps is past the enumeration cutoff (n <= 5)")
     pts = space.points
     if condition == "max":
-        grid = tuple(alphas) if alphas is not None else (alpha if alpha is not None else None,)
-        if grid[0] is None:
+        grid = tuple(alphas) if alphas is not None else (() if alpha is None else (alpha,))
+        if not grid:
             raise ValueError("the max-condition needs alpha or an alpha grid")
+        for a in grid:
+            _check_max_factor(a)
+        least = min(grid)
     elif condition == "contraction":
         if alpha is None:
             raise ValueError("a contraction check needs alpha")
@@ -391,7 +404,7 @@ def exhaustive_condition_maps(space: FinitePMSpace, condition: str, *,
         name = "map:" + ",".join(format_point(pts[i]) for i in images)
         T = MapSpec.from_table(name, table)
         if condition == "max":
-            ok = all(check_condition_max(space, T, a).ok for a in grid)
+            ok = check_condition_max(space, T, least).ok
         elif condition == "contraction":
             ok = check_contraction(space, T, alpha).ok
         else:

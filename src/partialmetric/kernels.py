@@ -3,14 +3,12 @@
 Verdicts are computed on integer numerators over the table's common
 denominator, so every comparison is exact. The compiled extension is
 used when it imported cleanly and the numerators fit comfortably in
-int64; otherwise the pure-Python reference runs. Set
-``PARTIALMETRIC_PURE=1`` to force the pure path.
+int64; otherwise the pure-Python reference runs.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from array import array
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -33,17 +31,13 @@ class Violation(NamedTuple):
     k: int
 
 
-def _force_pure() -> bool:
-    return os.environ.get("PARTIALMETRIC_PURE") == "1"
-
-
 def compiled_available() -> bool:
     return _scan_c is not None
 
 
 def active_backend() -> str:
-    """Name of the backend the next scan would normally use."""
-    return "compiled" if compiled_available() and not _force_pure() else "pure"
+    """Name of the backend the next scan would use for int64-safe tables."""
+    return "compiled" if compiled_available() else "pure"
 
 
 def flatten_numerators(matrix: Sequence[Sequence[Fraction]]) -> list[int]:
@@ -53,28 +47,22 @@ def flatten_numerators(matrix: Sequence[Sequence[Fraction]]) -> list[int]:
     return [q.numerator * (lcm // q.denominator) for row in matrix for q in row]
 
 
-def _dispatch(scan_name: str, matrix, backend: Optional[str]) -> Optional[Violation]:
+def _dispatch(scan_name: str, matrix) -> Optional[Violation]:
     n = len(matrix)
     flat = flatten_numerators(matrix)
-    chosen = backend or active_backend()
-    if chosen == "compiled":
-        if _scan_c is None:
-            raise RuntimeError("compiled backend requested but not built")
-        if flat and max(abs(v) for v in flat) < _INT64_SAFE:
-            hit = getattr(_scan_c, scan_name)(array("q", flat), n)
-        else:
-            # Numerators too wide for int64: fall back to exact pure ints.
-            hit = getattr(_scan_py, scan_name)(flat, n)
+    if _scan_c is not None and flat and max(abs(v) for v in flat) < _INT64_SAFE:
+        hit = getattr(_scan_c, scan_name)(array("q", flat), n)
     else:
+        # No extension, or numerators too wide for int64: exact pure ints.
         hit = getattr(_scan_py, scan_name)(flat, n)
     return Violation(*hit) if hit is not None else None
 
 
-def axiom_scan(matrix: Sequence[Sequence[Fraction]], backend: Optional[str] = None) -> Optional[Violation]:
+def axiom_scan(matrix: Sequence[Sequence[Fraction]]) -> Optional[Violation]:
     """First partial-metric axiom violation in canonical order, or None."""
-    return _dispatch("axiom_scan", matrix, backend)
+    return _dispatch("axiom_scan", matrix)
 
 
-def metric_scan(matrix: Sequence[Sequence[Fraction]], backend: Optional[str] = None) -> Optional[Violation]:
+def metric_scan(matrix: Sequence[Sequence[Fraction]]) -> Optional[Violation]:
     """First metric axiom violation in canonical order, or None."""
-    return _dispatch("metric_scan", matrix, backend)
+    return _dispatch("metric_scan", matrix)

@@ -122,6 +122,8 @@ def check_space_properties(space: FinitePMSpace, alpha: Fraction = Fraction(1, 2
 def property_run(seeds: Iterable[int], max_n: int = 7,
                  alpha: Fraction = Fraction(1, 2)) -> PropertyRunResult:
     """Run the full suite over random spaces with n = (seed mod max_n) + 1."""
+    if max_n < 1:
+        raise ValueError("max_n must be at least 1")
     start = time.monotonic()
     failures: list[PropertyFailure] = []
     checked = 0

@@ -4,10 +4,12 @@ The scan oracles deliberately avoid the package's kernels and
 normalization: plain Fraction comparisons in the same canonical scan
 order, plus a complete radius-scan decision for the Hausdorff property.
 The sweep references at the end are the radius and factor sweeps that
-gdelta_diagonal, maximal_points and constant_map_bottom once ran in
-full; they reuse the package's other pieces unchanged.
+gdelta_diagonal, maximal_points, constant_map_bottom and the
+max-condition enumeration once ran in full; they reuse the package's
+other pieces unchanged.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from partialmetric.analysis import GDeltaReport, specialization_order
 from partialmetric.catalog import MapSpec
 from partialmetric.core import ball, bottom_set, separation_class
 from partialmetric.fixedpoint import DEFAULT_ALPHA_GRID, check_condition_max
+from partialmetric.points import format_point
 
 
 def axiom_violation(matrix):
@@ -142,3 +145,15 @@ def constant_map_bottom_by_sweep(space, alphas=DEFAULT_ALPHA_GRID):
     if set(survivors) != set(bottom_set(space)):
         raise RuntimeError("constant-map survivors differ from the bottom set")
     return tuple(survivors)
+
+
+def max_condition_maps_by_sweep(space, alphas):
+    """Names of the self-maps passing the max-condition at every grid factor, in table order."""
+    pts, n = space.points, len(space)
+    names = []
+    for images in itertools.product(range(n), repeat=n):
+        T = MapSpec.from_table("map:" + ",".join(format_point(pts[i]) for i in images),
+                               {pts[i]: pts[images[i]] for i in range(n)})
+        if all(check_condition_max(space, T, a).ok for a in alphas):
+            names.append(T.name)
+    return names

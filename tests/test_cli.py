@@ -44,6 +44,13 @@ class TestAxioms:
         code, _, err = run(capsys, "axioms", "--space", str(bad))
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("ids", ["ab", {"a": 1, "b": 2}])
+    def test_non_list_points_exit_two(self, capsys, tmp_path, ids):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"points": ids, "p": [["0/1", "1/1"], ["1/1", "0/1"]]}))
+        code, _, err = run(capsys, "axioms", "--space", str(bad))
+        assert code == 2 and "points" in err
+
     def test_unknown_space_exits_two(self, capsys):
         code, _, err = run(capsys, "axioms", "--space", "ex9.1")
         assert code == 2 and "error" in err
@@ -94,6 +101,15 @@ class TestAnalyze:
                            "--target", "0/1", "--horizon", "0")
         assert code == 2 and "horizon" in err
 
+    @pytest.mark.parametrize("doc", [5, {"explicit": 5}, {"generator": "ex4.8.naturals",
+                                                          "horizon": [1]}])
+    def test_malformed_sequence_file_exits_two(self, capsys, tmp_path, doc):
+        seq = tmp_path / "seq.json"
+        seq.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "analyze", "seq", "--space", "ex4.8",
+                           "--seq", str(seq), "--target", "0/1")
+        assert code == 2 and "error" in err
+
     def test_horizon_zero_overrides_generator_file(self, capsys, tmp_path):
         seq = tmp_path / "seq.json"
         seq.write_text(json.dumps({"generator": "ex4.8.naturals", "horizon": 100}))
@@ -132,6 +148,23 @@ class TestFixedpoint:
         code, out, _ = run(capsys, "fixedpoint", "check", "--space", "ex5.8",
                            "--map", "const.b", "--cond", "max", "--alpha", "1/2")
         assert code == 1 and "violated" in out
+
+    @pytest.mark.parametrize("point, code", [("{}", 0), ("{a}", 1)])
+    def test_constant_map_names_a_set_point(self, capsys, point, code):
+        got, out, _ = run(capsys, "fixedpoint", "check", "--space", "ex3.2",
+                          "--map", f"const.{point}", "--cond", "max")
+        assert got == code and "36 sample pairs" in out
+
+    @pytest.mark.parametrize("action", ["check", "iterate"])
+    def test_missing_map_exits_two(self, capsys, action):
+        code, _, err = run(capsys, "fixedpoint", action, "--space", "ex5.8", "--from", "a")
+        assert code == 2 and "--map" in err
+
+    @pytest.mark.parametrize("action", ["check", "iterate"])
+    def test_formula_map_on_other_point_kind_exits_two(self, capsys, action):
+        code, _, err = run(capsys, "fixedpoint", action, "--space", "ex3.2",
+                           "--map", "ex5.4.T", "--from", "{}")
+        assert code == 2 and "not defined" in err
 
     def test_iterate_ex54(self, capsys):
         code, out, _ = run(capsys, "fixedpoint", "iterate", "--space", "ex5.4",
@@ -193,6 +226,10 @@ class TestRandom:
     def test_property_run_small(self, capsys):
         code, out, _ = run(capsys, "random", "property-run", "--seeds", "0:25")
         assert code == 0 and "0 failures" in out
+
+    def test_max_n_zero_exits_two(self, capsys):
+        code, _, err = run(capsys, "random", "property-run", "--seeds", "0:3", "--max-n", "0")
+        assert code == 2 and "max_n" in err
 
     def test_bad_argument_exits_two(self, capsys):
         code, _, err = run(capsys, "random", "generate", "-n", "0")

@@ -18,7 +18,7 @@ from partialmetric import (
     p_bar,
     p_m,
     random_pm_space,
-    rho_p,
+    rho_of,
     separation_class,
 )
 from partialmetric.core import d_matrix, p_bar_matrix, p_m_matrix
@@ -137,16 +137,16 @@ class TestDerivedMetrics:
 class TestBottomAndDiameter:
     def test_rho_singleton(self):
         sp = FinitePMSpace([F(0)], [[F(5)]])
-        assert rho_p(sp) == (F(5), True)
+        assert rho_of(sp) == F(5)
 
     def test_ex56_truncation_rho_differs_from_declared(self):
         trunc = catalog_space("ex5.6").finite_sample((F(1, 2), F(1, 3), F(1, 4)))
-        assert rho_p(trunc) == (F(1, 4), True)
+        assert rho_of(trunc) == F(1, 4)
         assert catalog_space("ex5.6").declared_rho_p == 0
 
     def test_ex58_rho_attained_at_a(self):
         sp = catalog_space("ex5.8").finite_sample()
-        assert rho_p(sp) == (F(0), True)
+        assert rho_of(sp) == F(0)
         assert bottom_set(sp) == ("a",)
 
     def test_ex34_bottom(self):
@@ -241,7 +241,7 @@ class TestInvariants:
     def test_rho_below_every_entry(self):
         for seed in range(20):
             sp = random_pm_space(seed, seed % 7 + 1)
-            rho, _ = rho_p(sp)
+            rho = rho_of(sp)
             assert all(v >= rho for row in sp.matrix for v in row)
 
     def test_ball_refinement_by_induced_metric(self):
@@ -288,6 +288,12 @@ class TestJson:
         for rows in ([1, 2], ["0/1", "1/1"], [["0/1", "1/1"], {"a": 1}], "ab"):
             with pytest.raises(StructureError, match="row"):
                 FinitePMSpace.from_json_dict({"points": ["a", "b"], "p": rows})
+
+    def test_non_list_points_are_structural(self):
+        rows = [["0/1", "1/1"], ["1/1", "0/1"]]
+        for ids in ("ab", {"a": 1, "b": 2}, 2):
+            with pytest.raises(StructureError, match="points"):
+                FinitePMSpace.from_json_dict({"points": ids, "p": rows})
 
     def test_restrict_preserves_order(self):
         sp = random_pm_space(9, 6)

@@ -1,9 +1,10 @@
 """The catalog fact suite: everything passes, and sabotage is detected."""
 
 from dataclasses import replace
+from fractions import Fraction as F
 
-from partialmetric import MapSpec, get_entry
-from partialmetric.facts import run_fact_suite
+from partialmetric import MapSpec, catalog_names, get_entry
+from partialmetric.facts import _fact_axioms_and_metadata, facts_for_entry, run_fact_suite
 
 
 def test_every_fact_passes():
@@ -17,6 +18,21 @@ def test_results_carry_anchors_and_ids():
     suite = run_fact_suite(["ex5.8"])
     assert all(r.fact_id.startswith("ex5.8/") for r in suite.results)
     assert all(r.anchor for r in suite.results)
+
+
+def test_every_entry_validates_through_its_axioms_metadata_fact():
+    # `pm catalog verify` relies on this fact for the structural checks.
+    for name in catalog_names():
+        runs = {f.fact_id: f.run for f in facts_for_entry(name)}
+        assert runs[f"{name}/axioms+metadata"] is _fact_axioms_and_metadata
+
+
+def test_wrong_declaration_fails_axioms_metadata_fact():
+    entry = get_entry("ex5.8")
+    sabotaged = replace(entry, space=replace(entry.space, declared_rho_p=F(1)))
+    suite = run_fact_suite(["ex5.8"], overrides={"ex5.8": sabotaged})
+    failed = {r.fact_id for r in suite.results if not r.ok}
+    assert "ex5.8/axioms+metadata" in failed
 
 
 def test_identity_map_sabotage_fails_fixed_point_facts():

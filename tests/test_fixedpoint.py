@@ -24,7 +24,7 @@ from partialmetric import (
     iterate,
     limit_set,
     random_pm_space,
-    rho_p,
+    rho_of,
     solve_on_bottom,
 )
 from partialmetric.catalog import BottomDecl, CatalogSpace
@@ -310,7 +310,7 @@ class TestExhaustiveEnumeration:
     def test_min_survivor_fixed_points_lie_in_bottom_and_are_unique(self):
         for seed in range(12):
             sp = random_pm_space(seed, 3)
-            rho, _ = rho_p(sp)
+            rho = rho_of(sp)
             for T in exhaustive_condition_maps(sp, "min", k=2):
                 fixed = [x for x in sp.points if T.apply(x) == x]
                 assert len(fixed) <= 1

@@ -1,25 +1,35 @@
 """The single-evaluation probes against the sweeps they replace.
 
-gdelta_diagonal, maximal_points and constant_map_bottom each evaluate a
-test that is monotone in its parameter once, at the parameter value
-that decides it. The references in oracles.py evaluate it at every
-point of the old sweep; results and raised errors must be identical.
+gdelta_diagonal, maximal_points, constant_map_bottom and the
+max-condition enumeration each evaluate a test that is monotone in its
+parameter once, at the parameter value that decides it. The references
+in oracles.py evaluate it at every point of the old sweep; results and
+raised errors must be identical.
 """
 
 import random
 from fractions import Fraction
+
+import pytest
 
 from partialmetric import (
     FinitePMSpace,
     catalog_names,
     catalog_space,
     constant_map_bottom,
+    exhaustive_condition_maps,
     gdelta_diagonal,
     maximal_points,
     random_pm_space,
 )
+from partialmetric.fixedpoint import DEFAULT_ALPHA_GRID
 
-from oracles import constant_map_bottom_by_sweep, gdelta_by_sweep, maximal_points_by_sweep
+from oracles import (
+    constant_map_bottom_by_sweep,
+    gdelta_by_sweep,
+    max_condition_maps_by_sweep,
+    maximal_points_by_sweep,
+)
 
 F = Fraction
 
@@ -93,6 +103,31 @@ def test_constant_map_bottom_matches_sweep():
             args = (space,) if grid is None else (space, grid)
             got = _outcome(constant_map_bottom, *args)
             assert got == _outcome(constant_map_bottom_by_sweep, *args), (label, grid)
+
+
+# The grids above with the default spelled out, plus one more. The empty grid
+# is an error for the enumeration, not "every map survives".
+ENUMERATION_GRIDS = (DEFAULT_ALPHA_GRID,) + tuple(g for g in ALPHA_GRIDS if g) + (
+    (F(9, 10), F(1, 3)),)
+
+
+def test_max_enumeration_matches_sweep():
+    spaces = [("catalog/ex5.8", catalog_space("ex5.8").finite_sample())]
+    spaces += [(f"random/{seed}", random_pm_space(seed, seed % 4 + 1)) for seed in range(12)]
+    for label, space in spaces:
+        for grid in ENUMERATION_GRIDS:
+            got, err = _outcome(lambda: exhaustive_condition_maps(space, "max", alphas=grid))
+            want, want_err = _outcome(max_condition_maps_by_sweep, space, grid)
+            assert err == want_err, (label, grid)
+            if err is None:
+                assert [T.name for T in got] == want, (label, grid)
+
+
+def test_max_enumeration_needs_a_factor():
+    space = catalog_space("ex5.8").finite_sample()
+    for kwargs in ({"alphas": []}, {}):
+        with pytest.raises(ValueError, match="needs alpha or an alpha grid"):
+            exhaustive_condition_maps(space, "max", **kwargs)
 
 
 def test_gdelta_tiny_gap_is_one_evaluation():
