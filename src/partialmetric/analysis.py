@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 from .core import FinitePMSpace, ball, check_axioms, separation_class
 from .errors import AxiomFailureError, UnsupportedSequenceError
-from .points import Point, format_point, format_rational
+from .points import Point, Record, to_json
 
 DEFAULT_TOL = Fraction(1, 10**6)
 DEFAULT_HORIZON = 10**4
@@ -86,12 +86,12 @@ class SequenceSpec:
         return [self.term(n) for n in range(1, self.effective_horizon(horizon) + 1)]
 
 
-def _tail_period(values: Sequence, max_period: int = _MAX_PERIOD) -> Optional[int]:
+def _tail_period(values: Sequence) -> Optional[int]:
     """Minimal period of the exactly repeating tail half, if any."""
     if len(values) >= 2 and all(v == values[0] for v in values):
         return 1
     tail = list(values[len(values) // 2:])
-    for d in range(1, max_period + 1):
+    for d in range(1, _MAX_PERIOD + 1):
         if len(tail) >= max(2, 3 * d) and all(tail[i] == tail[i + d] for i in range(len(tail) - d)):
             return d
     return None
@@ -107,12 +107,9 @@ def exact_cycle(seq: SequenceSpec, horizon: int = DEFAULT_HORIZON) -> Optional[t
 
 
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     tail_index: int
     achieved_gap: Fraction
-
-    def to_dict(self) -> dict:
-        return {"tail_index": self.tail_index, "achieved_gap": format_rational(self.achieved_gap)}
 
 
 @dataclass(frozen=True)
@@ -155,7 +152,7 @@ def _analyze_gaps(space, seq: SequenceSpec, gap_of: Callable[[Point], Fraction],
 
 
 @dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(Record):
     mode: str  # "converges" | "properly_converges" | "inconclusive" | "refuted"
     target: Point
     tol: Fraction
@@ -169,19 +166,6 @@ class ConvergenceReport:
     @property
     def ok(self) -> bool:
         return self.mode in ("converges", "properly_converges")
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "target": format_point(self.target),
-            "tol": format_rational(self.tol),
-            "horizon": self.horizon,
-            "certificate": self.certificate.to_dict() if self.certificate else None,
-            "self_certificate": self.self_certificate.to_dict() if self.self_certificate else None,
-            "witness": [[format_point(p), format_rational(g)] for p, g in self.witness],
-            "exact": self.exact,
-            "observed_gap": format_rational(self.observed_gap) if self.observed_gap is not None else None,
-        }
 
 
 def converges_to(space, seq: SequenceSpec, x: Point, tol: Fraction = DEFAULT_TOL,
@@ -219,7 +203,7 @@ def properly_converges(space, seq: SequenceSpec, x: Point, tol: Fraction = DEFAU
 
 
 @dataclass(frozen=True)
-class CauchyReport:
+class CauchyReport(Record):
     verdict: str  # "cauchy_to" | "inconclusive" | "refuted"
     a: Optional[Fraction]
     tol: Fraction
@@ -232,19 +216,6 @@ class CauchyReport:
     @property
     def ok(self) -> bool:
         return self.verdict == "cauchy_to"
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "a": format_rational(self.a) if self.a is not None else None,
-            "tol": format_rational(self.tol),
-            "horizon": self.horizon,
-            "tail_index": self.tail_index,
-            "max_deviation": format_rational(self.max_deviation) if self.max_deviation is not None else None,
-            "witness": [[[format_point(u), format_point(v)], format_rational(g)]
-                        for (u, v), g in self.witness],
-            "exact": self.exact,
-        }
 
 
 def _cauchy_over_cycle(space, cycle: tuple[Point, ...], tol: Fraction, horizon: int,
@@ -311,10 +282,7 @@ class SpecializationOrder:
         return self.matrix[pts.index(x)][pts.index(y)]
 
     def to_dict(self) -> dict:
-        return {
-            "points": [format_point(p) for p in self.points],
-            "dominates": [[bool(v) for v in row] for row in self.matrix],
-        }
+        return {"points": to_json(self.points), "dominates": to_json(self.matrix)}
 
 
 def specialization_order(space: FinitePMSpace) -> SpecializationOrder:
@@ -372,14 +340,10 @@ def maximal_points(space: FinitePMSpace) -> frozenset:
 
 
 @dataclass(frozen=True)
-class GDeltaReport:
+class GDeltaReport(Record):
     t1: bool
     stabilization_n: int
     equals_diagonal: bool
-
-    def to_dict(self) -> dict:
-        return {"t1": self.t1, "stabilization_n": self.stabilization_n,
-                "equals_diagonal": self.equals_diagonal}
 
 
 def gdelta_diagonal(space: FinitePMSpace) -> GDeltaReport:
@@ -405,15 +369,10 @@ def gdelta_diagonal(space: FinitePMSpace) -> GDeltaReport:
 
 
 @dataclass(frozen=True)
-class CoverReport:
+class CoverReport(Record):
     covers: bool
     uncovered: Optional[Point]
     eps: Fraction
-
-    def to_dict(self) -> dict:
-        return {"covers": self.covers,
-                "uncovered": format_point(self.uncovered) if self.uncovered is not None else None,
-                "eps": format_rational(self.eps)}
 
 
 def ball_cover_check(space: FinitePMSpace, centers: Sequence[Point], eps: Fraction) -> CoverReport:
@@ -439,8 +398,7 @@ class NetReport:
         return len(self.centers)
 
     def to_dict(self) -> dict:
-        return {"centers": [format_point(p) for p in self.centers],
-                "size": self.size, "eps": format_rational(self.eps)}
+        return {"centers": to_json(self.centers), "size": self.size, "eps": to_json(self.eps)}
 
 
 def totally_bounded_at(space: FinitePMSpace, eps: Fraction) -> NetReport:
@@ -467,17 +425,12 @@ def totally_bounded_at(space: FinitePMSpace, eps: Fraction) -> NetReport:
 
 
 @dataclass(frozen=True)
-class SubsequenceWitness:
+class SubsequenceWitness(Record):
     kind: str  # "full" | "constant"
     limit: Point
     exact: bool
     progression: Optional[tuple[int, int]] = None   # (start, step) for cycle constants
     indices: Optional[tuple[int, ...]] = None       # explicit positions otherwise
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "limit": format_point(self.limit), "exact": self.exact,
-                "progression": list(self.progression) if self.progression else None,
-                "indices": list(self.indices) if self.indices else None}
 
 
 def seq_compact_witness(space: FinitePMSpace, seq: SequenceSpec,

@@ -100,7 +100,6 @@ class MapSpec:
 
     name: str
     fn: Callable[[Point], Point]
-    closed: bool = True
     table: Optional[tuple[tuple[Point, Point], ...]] = None
 
     def apply(self, x: Point) -> Point:
@@ -564,7 +563,7 @@ def validate_entry(entry: CatalogEntry, seed: int = 0, count: int = 24) -> list[
     for key, spec in entry.maps:
         for x in sp.canonical_sample:
             image = spec.apply(x)
-            if spec.closed and not sp.contains(image):
+            if not sp.contains(image):
                 problems.append(f"map {key} leaves the domain at {format_point(x)}")
     for key, spec in entry.sequences:
         for n in (1, 2, 3, 5, 8):

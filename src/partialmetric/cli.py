@@ -50,7 +50,8 @@ from .fixedpoint import (
     exhaustive_condition_maps,
     iterate,
 )
-from .points import Point, format_point, parse_point_ids, parse_rational, resolve_point
+from .points import (Point, format_point, parse_point_ids, parse_rational, read_json,
+                     resolve_point, to_json)
 from .properties import property_run
 
 Space = Union[FinitePMSpace, CatalogSpace]
@@ -94,7 +95,7 @@ def _resolve_sequence(arg: str, horizon: Optional[int]) -> tuple[SequenceSpec, i
     path = Path(arg)
     if not path.exists():
         raise StructureError(f"{arg!r} is neither a sequence id nor a file")
-    doc = json.loads(path.read_text())
+    doc = read_json(path.read_text())
     if not isinstance(doc, dict):
         raise StructureError("sequence JSON must be an object")
     if "explicit" in doc:
@@ -245,7 +246,7 @@ def _cmd_fixedpoint(args) -> int:
                   if args.alpha_grid else DEFAULT_ALPHA_GRID)
         survivors = constant_map_bottom(finite, alphas)
         lines = ["constant-map bottom: " + ", ".join(format_point(p) for p in survivors)]
-        _emit({"bottom": [format_point(p) for p in survivors]}, lines, args.json)
+        _emit({"bottom": to_json(survivors)}, lines, args.json)
         return 0
     raise StructureError(f"unknown fixedpoint action {args.action!r}")
 
@@ -258,8 +259,7 @@ def _cmd_catalog(args) -> int:
     if args.action == "export":
         if not args.name:
             raise StructureError("catalog export needs a space id")
-        doc = get_entry(args.name).space.finite_sample().to_json_dict()
-        print(json.dumps(doc, indent=2))
+        _emit(get_entry(args.name).space.finite_sample().to_json_dict(), [], True)
         return 0
     if args.action == "verify":
         names = None if args.all or not args.name else [args.name]
@@ -275,8 +275,7 @@ def _cmd_random(args) -> int:
     seed = int(os.environ["PM_SEED"]) if os.environ.get("PM_SEED") else args.seed
     if args.action == "generate":
         space = random_pm_space(seed, args.n, zero_f=args.zero_f)
-        print(json.dumps(space.to_json_dict(), indent=2))
-        print(f"seed {seed}, {args.n} points", file=sys.stderr)
+        _emit(space.to_json_dict(), [f"seed {seed}, {args.n} points"], True)
         return 0
     if args.action == "property-run":
         lo, _, hi = args.seeds.partition(":")
@@ -361,7 +360,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (PMError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (PMError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

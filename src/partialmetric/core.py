@@ -15,14 +15,14 @@ depends on floating point.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import kernels
 from .errors import DomainError, StructureError
-from .points import Point, format_point, format_rational, parse_point_ids, parse_rational
+from .points import (Point, Record, format_point, parse_point_ids, parse_rational, read_json,
+                     to_json)
 
 AXIOM_NAMES = {1: "P1", 2: "P2", 3: "P3", 4: "P4"}
 
@@ -94,10 +94,7 @@ class FinitePMSpace:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "points": [format_point(p) for p in self.points],
-            "p": [[format_rational(v) for v in row] for row in self.matrix],
-        }
+        return {"points": to_json(self.points), "p": to_json(self.matrix)}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FinitePMSpace":
@@ -118,15 +115,11 @@ class FinitePMSpace:
 
     @classmethod
     def from_json(cls, text: str) -> "FinitePMSpace":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise StructureError(f"bad JSON: {exc}") from exc
-        return cls.from_json_dict(doc)
+        return cls.from_json_dict(read_json(text))
 
 
 @dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     """Verdict of the exhaustive axiom check, with a reproducible witness."""
 
     verdict: str                       # "pass" | "fail"
@@ -137,14 +130,6 @@ class AxiomReport:
     @property
     def ok(self) -> bool:
         return self.verdict == "pass"
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "violated_axiom": self.violated_axiom,
-            "witness": [format_point(p) for p in self.witness],
-            "values": {k: format_rational(v) for k, v in self.values.items()},
-        }
 
 
 def check_axioms(space: FinitePMSpace) -> AxiomReport:
@@ -228,13 +213,10 @@ def diameter(space: FinitePMSpace) -> Fraction:
 
 
 @dataclass(frozen=True)
-class SeparationClass:
+class SeparationClass(Record):
     t0: bool
     t1: bool
     hausdorff: bool
-
-    def to_dict(self) -> dict:
-        return {"t0": self.t0, "t1": self.t1, "hausdorff": self.hausdorff}
 
 
 def separation_class(space: FinitePMSpace) -> SeparationClass:

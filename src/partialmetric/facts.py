@@ -43,7 +43,7 @@ from .fixedpoint import (
     iterate,
     solve_on_bottom,
 )
-from .points import format_point
+from .points import format_point, to_json
 
 F = Fraction
 
@@ -85,7 +85,7 @@ class FactSuiteResult:
 
     def to_dict(self) -> dict:
         return {"passed": self.passed, "failed": self.failed,
-                "results": [r.to_dict() for r in self.results]}
+                "results": to_json(self.results)}
 
 
 def _fact_axioms_and_metadata(entry: CatalogEntry) -> tuple[bool, str]:

@@ -23,7 +23,7 @@ from .analysis import DEFAULT_TOL
 from .catalog import CatalogSpace, MapSpec
 from .core import FinitePMSpace, bottom_set, rho_of
 from .errors import DomainError, MapClosureError, MetadataError, SizeLimitError
-from .points import Point, format_point, format_rational
+from .points import Point, Record, format_point, to_json
 
 DEFAULT_BUDGET = 10_000
 DEFAULT_ALPHA_GRID = (Fraction(0), Fraction(1, 2), Fraction(3, 4))
@@ -33,15 +33,11 @@ _CONFIRM_WINDOW = 8
 
 
 @dataclass(frozen=True)
-class ConditionViolation:
+class ConditionViolation(Record):
     x: Point
     y: Point
     lhs: Fraction
     rhs: Fraction
-
-    def to_dict(self) -> dict:
-        return {"x": format_point(self.x), "y": format_point(self.y),
-                "lhs": format_rational(self.lhs), "rhs": format_rational(self.rhs)}
 
 
 @dataclass(frozen=True)
@@ -60,12 +56,11 @@ class ConditionReport:
     def to_dict(self) -> dict:
         return {
             "condition": self.condition,
-            "params": {k: (format_rational(v) if isinstance(v, Fraction) else v)
-                       for k, v in self.params},
+            "params": to_json(dict(self.params)),
             "verdict": self.verdict,
             "scope": self.scope,
             "pairs_checked": self.pairs_checked,
-            "violation": self.violation.to_dict() if self.violation else None,
+            "violation": to_json(self.violation),
         }
 
 
@@ -148,7 +143,7 @@ def check_condition_min(space, T: MapSpec, k: int, pairs=None) -> ConditionRepor
 
 
 @dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(Record):
     start: Point
     iterates: tuple[Point, ...]
     p_steps: tuple[Fraction, ...]     # p(x_n, x_{n+1})
@@ -162,19 +157,6 @@ class IterationTrace:
     @property
     def ok(self) -> bool:
         return self.outcome != "budget_exhausted"
-
-    def to_dict(self) -> dict:
-        return {
-            "start": format_point(self.start),
-            "iterates": [format_point(x) for x in self.iterates],
-            "p_steps": [format_rational(v) for v in self.p_steps],
-            "p_selfs": [format_rational(v) for v in self.p_selfs],
-            "outcome": self.outcome,
-            "fixed_point": format_point(self.fixed_point) if self.fixed_point is not None else None,
-            "cauchy_value": format_rational(self.cauchy_value) if self.cauchy_value is not None else None,
-            "steps": self.steps,
-            "identified": self.identified,
-        }
 
 
 def iterate(space, T: MapSpec, x0: Point, tol: Fraction = DEFAULT_TOL,
@@ -231,7 +213,7 @@ def iterate(space, T: MapSpec, x0: Point, tol: Fraction = DEFAULT_TOL,
 
 
 @dataclass(frozen=True)
-class BottomSolveReport:
+class BottomSolveReport(Record):
     status: str  # "fixed_point" | "certified" | "escaped_bottom" | "condition_violated" | "budget_exhausted"
     fixed_point: Optional[Point]
     last: Optional[Point]
@@ -245,20 +227,6 @@ class BottomSolveReport:
     @property
     def ok(self) -> bool:
         return self.status in ("fixed_point", "certified")
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "fixed_point": format_point(self.fixed_point) if self.fixed_point is not None else None,
-            "last": format_point(self.last) if self.last is not None else None,
-            "iterations": self.iterations,
-            "condition_report": self.condition_report.to_dict() if self.condition_report else None,
-            "escape": [format_point(self.escape[0]), format_point(self.escape[1])] if self.escape else None,
-            "escape_violation": self.escape_violation.to_dict() if self.escape_violation else None,
-            "fixed_points_in_bottom": [format_point(z) for z in self.fixed_points_in_bottom]
-            if self.fixed_points_in_bottom is not None else None,
-            "unique_in_bottom": self.unique_in_bottom,
-        }
 
 
 def _bottom_oracle(space):

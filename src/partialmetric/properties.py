@@ -28,12 +28,13 @@ from .core import (
     rho_of,
 )
 from .fixedpoint import constant_map_bottom, exhaustive_condition_maps
+from .points import Record, to_json
 
 ENUMERATION_LIMIT = 4
 
 
 @dataclass(frozen=True)
-class PropertyFailure:
+class PropertyFailure(Record):
     seed: int
     n: int
     check: str
@@ -54,8 +55,7 @@ class PropertyRunResult:
         return {
             "spaces_checked": self.spaces_checked,
             "elapsed_seconds": round(self.elapsed, 3),
-            "failures": [{"seed": f.seed, "n": f.n, "check": f.check, "detail": f.detail}
-                         for f in self.failures],
+            "failures": to_json(self.failures),
         }
 
 

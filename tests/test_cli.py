@@ -1,12 +1,14 @@
 """Command-line behavior: exit codes, JSON documents, round trips."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from partialmetric import FinitePMSpace
 from partialmetric.cli import main
+from partialmetric.points import parse_point_ids, parse_rational, resolve_point
 
 F = Fraction
 
@@ -234,3 +236,49 @@ class TestRandom:
     def test_bad_argument_exits_two(self, capsys):
         code, _, err = run(capsys, "random", "generate", "-n", "0")
         assert code == 2 and "error" in err
+
+
+class TestBoundedInput:
+    """Exponent notation and too deeply nested JSON are refused at once."""
+
+    @pytest.mark.parametrize("text, value", [("1/2", F(1, 2)), ("3", F(3)), ("0.5", F(1, 2)),
+                                             ("-1/2", F(-1, 2))])
+    def test_rational_forms_still_parse(self, text, value):
+        assert parse_rational(text) == value
+        assert parse_point_ids([text]) == (value,)
+        assert resolve_point((), text) == value
+
+    @pytest.mark.parametrize("text", ["1e3", "2E-1", "1/2e3", "1e99999999"])
+    def test_exponent_is_no_rational(self, text):
+        with pytest.raises(ValueError, match="not a rational"):
+            parse_rational(text)
+        assert parse_point_ids([text]) == (text,)
+
+    def test_exponent_rational_exits_two_at_once(self, capsys):
+        start = time.monotonic()
+        code, out, err = run(capsys, "topology", "net", "--space", "apex",
+                             "--eps", "1e99999999")
+        assert time.monotonic() - start < 1
+        assert code == 2 and out == "" and "not a rational" in err
+
+    def test_exponent_point_id_loads_at_once_as_a_tag(self, capsys, tmp_path):
+        table = tmp_path / "t.json"
+        table.write_text(json.dumps({"points": ["1e99999999", "b"],
+                                     "p": [["0/1", "1/1"], ["1/1", "0/1"]]}))
+        start = time.monotonic()
+        code, out, _ = run(capsys, "axioms", "--space", str(table))
+        assert code == 0 and "pass" in out
+        code, out, _ = run(capsys, "topology", "net", "--space", str(table),
+                           "--restrict", "1e99999999")
+        assert time.monotonic() - start < 1
+        assert code == 0 and "net size 1: 1e99999999" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["axioms", "--space", "@deep"],
+        ["analyze", "seq", "--space", "ex5.8", "--seq", "@deep", "--mode", "cauchy"],
+    ])
+    def test_too_deeply_nested_json_exits_two(self, capsys, tmp_path, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        code, out, err = run(capsys, *[str(deep) if a == "@deep" else a for a in argv])
+        assert code == 2 and out == "" and "bad JSON" in err

@@ -6,7 +6,9 @@ JSON table and sequence files. Values that set the amount of work (the
 sequence horizon, iteration budget, seed span, point count, iterate
 depth) are drawn small, and every command whose default workload is
 large gets a small value first, so one example stays well under a
-second.
+second. Exponent strings are among the rationals and point ids, and one
+file content is nested past the JSON decoder's depth limit; an example
+that takes 20 s or more fails.
 """
 
 import contextlib
@@ -14,6 +16,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -22,7 +25,8 @@ from partialmetric import catalog_names
 from partialmetric.catalog import SEQUENCES
 from partialmetric.cli import main
 
-POINT_IDS = ("0/1", "1/2", "1/1", "-5/1", "2/1", "a", "b", "x1", "{}", "{a}", "{a,b}", "", "zz")
+POINT_IDS = ("0/1", "1/2", "1/1", "-5/1", "2/1", "a", "b", "x1", "{}", "{a}", "{a,b}", "", "zz",
+             "1e99999999")
 SPACE_IDS = tuple(catalog_names()) + ("ex9.9",)
 SEQ_IDS = tuple(SEQUENCES) + ("ex0.seq",)
 MAP_IDS = ("ex3.4.T", "ex5.4.T", "const.a", "const.{}", "const.{a}", "const.0/1", "const.1/2",
@@ -32,7 +36,8 @@ JUNK = ("--", "-", "--bogus", "x", "{", "0:", ":", "1/0", "nan", "--json=1", "é
 ints = st.integers(min_value=-2, max_value=50).map(str)
 small_ints = st.integers(min_value=-1, max_value=5).map(str)
 rationals = st.builds(lambda a, b: f"{a}/{b}", st.integers(-2, 12), st.integers(0, 12))
-rationals = rationals | st.sampled_from(("0", "1", "1/2", "3/4", "0.5", "x/y"))
+rationals = rationals | st.sampled_from(("0", "1", "1/2", "3/4", "0.5", "x/y", "1e99999999",
+                                         "1E-99999999"))
 point_lists = st.lists(st.sampled_from(POINT_IDS), min_size=1, max_size=4).map(",".join)
 seed_spans = st.builds(lambda lo, k: f"{lo}:{lo + k}", st.integers(0, 50), st.integers(-1, 3))
 
@@ -64,12 +69,13 @@ documents = table_docs() | sequence_docs | any_json
 
 TABLE = "@table"  # replaced by the path of the fuzzed table file
 SEQ_FILE = "@seq"  # replaced by the path of the fuzzed sequence file
+DEEP_FILE = "@deep"  # replaced by the path of a file nested past the decoder's depth limit
 
-spaces = st.sampled_from(SPACE_IDS + (TABLE, TABLE, SEQ_FILE))
+spaces = st.sampled_from(SPACE_IDS + (TABLE, TABLE, SEQ_FILE, DEEP_FILE))
 
 FLAG_VALUES = {
     "--space": spaces,
-    "--seq": st.sampled_from(SEQ_IDS + (SEQ_FILE, SEQ_FILE, TABLE)),
+    "--seq": st.sampled_from(SEQ_IDS + (SEQ_FILE, SEQ_FILE, TABLE, DEEP_FILE)),
     "--target": st.sampled_from(POINT_IDS),
     "--from": st.sampled_from(POINT_IDS),
     "--mode": st.sampled_from(("plain", "proper", "cauchy", "fast")),
@@ -153,18 +159,22 @@ def argvs(draw):
 @given(argv=argvs(), table=documents, sequence=documents | sequence_docs)
 def test_fuzzed_argv_keeps_the_exit_contract(argv, table, sequence):
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {TABLE: os.path.join(tmp, "table.json"), SEQ_FILE: os.path.join(tmp, "seq.json")}
-        for key, doc in ((TABLE, table), (SEQ_FILE, sequence)):
+        paths = {key: os.path.join(tmp, key[1:] + ".json") for key in (TABLE, SEQ_FILE, DEEP_FILE)}
+        for key, text in ((TABLE, json.dumps(table)), (SEQ_FILE, json.dumps(sequence)),
+                          (DEEP_FILE, "[" * 200_000)):
             with open(paths[key], "w") as fh:
-                json.dump(doc, fh)
+                fh.write(text)
         argv = [paths.get(tok, tok) for tok in argv]
         out, err = io.StringIO(), io.StringIO()
+        start = time.monotonic()
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
         except SystemExit as exc:  # argparse rejecting the command line
             assert exc.code == 2, argv
             return
+        finally:
+            assert time.monotonic() - start < 20, argv
     assert code in (0, 1, 2), argv
     if "--json" in argv:
         if code == 2:

@@ -283,6 +283,12 @@ class TestJson:
             FinitePMSpace.from_json(json.dumps({"points": ["a"]}))
         with pytest.raises(StructureError):
             FinitePMSpace.from_json(json.dumps({"points": ["a"], "p": [["x/y"]]}))
+        # nested past the decoder's depth limit, an integer past Python's
+        # digit limit, an entry in exponent notation
+        for text in ("[" * 200_000, '{"points": ["a"], "p": [[' + "1" * 5000 + "]]}",
+                     json.dumps({"points": ["a"], "p": [["1e3"]]})):
+            with pytest.raises(StructureError):
+                FinitePMSpace.from_json(text)
 
     def test_non_list_rows_are_structural(self):
         for rows in ([1, 2], ["0/1", "1/1"], [["0/1", "1/1"], {"a": 1}], "ab"):
