@@ -1,4 +1,4 @@
-"""Compare the compiled and pure table scans on growing spaces.
+"""Time the pure and compiled table scans on growing spaces.
 
 The axiom scan is cubic in the point count, so it is the only part of
 the package whose runtime is worth a compiled core. Tables are built
@@ -7,6 +7,15 @@ valid by construction, so every timing run exercises the full P1-P4
 sweep without finding a violation (the worst case). Both
 implementations are called directly on the same flattened numerators;
 the `active` column names the one `kernels` dispatches to.
+
+Each size has three rows: the axiom scan and the `p_m` metric scan on a
+table over twelfths, and the axiom scan on a wide table whose values
+cycle through eight prime denominators near 2^12, so that from eight
+points on its numerators (the `bits` column) are past the int64 guard;
+smaller sizes have no wide row. The pure scan packs each
+row into one int whose fields are as wide as the table's spread, so the
+wide row shows what wider fields cost; the compiled scan cannot take
+that table and the dispatcher always sends it to the pure scan.
 
 Run:  python3 benchmarks/bench_scan.py [--sizes 16,32,64,128] [--repeats 3]
 """
@@ -27,10 +36,14 @@ except ImportError:
 
 F = Fraction
 
+# The eight largest primes below 2^12: their lcm is near 2^96.
+WIDE_DENOMINATORS = (4093, 4091, 4079, 4073, 4057, 4051, 4049, 4027)
 
-def build_space(n: int, seed: int = 0) -> FinitePMSpace:
-    rng = random.Random(f"bench/{seed}/{n}")
-    values = [F(rng.randint(0, 24 * n), 12) for _ in range(n)]
+
+def build_space(n: int, seed: int = 0, wide: bool = False) -> FinitePMSpace:
+    rng = random.Random(f"bench/{seed}/{n}" + ("/wide" if wide else ""))
+    dens = [WIDE_DENOMINATORS[i % 8] if wide else 12 for i in range(n)]
+    values = [F(rng.randint(0, 2 * n * q), q) for q in dens]
     base = F(1, 12)
 
     def d(i: int, j: int) -> Fraction:
@@ -60,19 +73,24 @@ def main() -> None:
     sizes = [int(s) for s in args.sizes.split(",")]
 
     if _scan_c is None:
-        print("compiled extension not built; timing the pure reference only")
-    header = (f"{'n':>5} {'scan':>12} {'active':>9} {'pure (ms)':>12} "
+        print("compiled extension not built; timing the pure scan only")
+    header = (f"{'n':>5} {'scan':>12} {'bits':>5} {'active':>9} {'pure (ms)':>12} "
               f"{'compiled (ms)':>14} {'speedup':>9}")
     print(header)
     print("-" * len(header))
     for n in sizes:
         space = build_space(n)
-        for label, matrix in (("axioms", space.matrix), ("p_m metric", p_m_matrix(space))):
-            name = "axiom_scan" if label == "axioms" else "metric_scan"
+        rows = [("axioms", "axiom_scan", space.matrix, False),
+                ("p_m metric", "metric_scan", p_m_matrix(space), False)]
+        if n >= len(WIDE_DENOMINATORS):
+            rows.append(("axioms wide", "axiom_scan", build_space(n, wide=True).matrix, True))
+        for label, name, matrix, is_wide in rows:
             flat = kernels.flatten_numerators(matrix)
+            bits = max(abs(v) for v in flat).bit_length()
+            active = "pure" if is_wide else kernels.active_backend()
             pure = time_scan(getattr(_scan_py, name), flat, n, "pure", args.repeats)
-            row = f"{n:>5} {label:>12} {kernels.active_backend():>9} {pure * 1e3:>12.2f}"
-            if _scan_c is not None:
+            row = f"{n:>5} {label:>12} {bits:>5} {active:>9} {pure * 1e3:>12.2f}"
+            if _scan_c is not None and not is_wide:
                 fast = time_scan(getattr(_scan_c, name), array("q", flat), n, "compiled",
                                  args.repeats)
                 row += f" {fast * 1e3:>14.2f} {pure / fast:>8.1f}x"

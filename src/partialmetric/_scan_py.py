@@ -1,11 +1,21 @@
-"""Reference implementations of the hot table scans.
+"""Pure-Python backend of the table scans.
 
 Both scans take a flattened n*n table of integer numerators over a common
 denominator (plain Python ints, so arbitrary precision) and return the
-first violation in canonical order, or None. The compiled twin in
-``_scan.pyx`` must return bit-identical results on every table it
-accepts; the order here is the canonical one.
+first violation in canonical (axiom, i, j, k) order, or None. That order
+is pinned by the brute-force oracles in ``tests/oracles.py``; the
+compiled twin in ``_scan.pyx`` must return bit-identical results on every
+table it accepts.
+
+The triangle phase tests a whole pair of rows at once: each row is packed
+into one int with a fixed-width field per column, so a few big-int
+operations and one mask test check every j of a pair (i, k). Only a row
+with a violation is then walked triple by triple, in canonical order,
+for its first (j, k).
 """
+
+from itertools import repeat
+from operator import add, and_, mul, sub
 
 
 def axiom_scan(num, n):
@@ -29,13 +39,7 @@ def axiom_scan(num, n):
         for j in range(i + 1, n):
             if num[i * n + j] != num[j * n + i]:
                 return (3, i, j, -1)
-    for i in range(n):
-        for j in range(n):
-            ij = num[i * n + j]
-            for k in range(n):
-                if ij > num[i * n + k] + num[k * n + j] - num[k * n + k]:
-                    return (4, i, j, k)
-    return None
+    return _triangle_scan(num, n)
 
 
 def metric_scan(num, n):
@@ -55,10 +59,61 @@ def metric_scan(num, n):
         for j in range(i + 1, n):
             if num[i * n + j] != num[j * n + i]:
                 return (3, i, j, -1)
-    for i in range(n):
+    # The diagonal is zero here, so the metric triangle is the sharpened one.
+    return _triangle_scan(num, n)
+
+
+def _triangle_scan(num, n):
+    """First (4, i, j, k) with p(i,j) > p(i,k) + p(k,j) - p(k,k), or None.
+
+    Only a row that ``_violating_rows`` names is walked triple by triple,
+    so the witness is the canonical first one.
+    """
+    for i in _violating_rows(num, n):
+        row = num[i * n:(i + 1) * n]
         for j in range(n):
-            ij = num[i * n + j]
+            ij = row[j]
             for k in range(n):
-                if ij > num[i * n + k] + num[k * n + j]:
+                if ij > row[k] + num[k * n + j] - num[k * n + k]:
                     return (4, i, j, k)
     return None
+
+
+def _violating_rows(num, n):
+    """Yield, in order, each row i with some p(i,j) > p(i,k) + p(k,j) - p(k,k).
+
+    The test is p(i,j) - p(k,j) > a with a = p(i,k) - p(k,k). Rows are
+    packed shifted by the least entry lo into fields w bits wide, and for
+    each pair (i, k) field j of
+
+        packed[i] + (half + p(k,k)) * ONES - packed[k] - p(i,k) * ONES
+
+    holds p(i,j) - p(k,j) - a + half, whose guard bit (w-1) is set exactly
+    when that difference exceeds a. The caller guarantees 0 <= a <= span
+    (span = largest entry - lo): the axiom scan has passed P2, so
+    p(k,k) <= p(i,k); the metric scan has passed identity and positivity,
+    so p(k,k) = 0 = lo and p(i,k) >= 0. Every field then lies in
+    [half - 2*span, half + span], inside [0, 2^w), so no field borrows
+    from or carries into the next and the sum is exact field by field.
+    """
+    if n == 0:
+        return
+    lo = min(num)
+    span = max(num) - lo
+    w = (2 * span + 2).bit_length() + 1
+    half = (1 << (w - 1)) - 1
+    ones = int(("0" * (w - 1) + "1") * n, 2)
+    guard = ones << (w - 1)
+    packed = []
+    for r in range(n):
+        # Field j of packed[r] is p(r,j) - lo; column 0 sits in the lowest field.
+        fields = 0
+        for v in reversed(num[r * n:(r + 1) * n]):
+            fields = fields << w | v - lo
+        packed.append(fields)
+    shifted = [(half + num[k * n + k]) * ones - packed[k] for k in range(n)]
+    for i in range(n):
+        sums = map(add, repeat(packed[i]), shifted)
+        spread = map(mul, num[i * n:(i + 1) * n], repeat(ones))  # p(i,k) in every field
+        if any(map(and_, map(sub, sums, spread), repeat(guard))):
+            yield i

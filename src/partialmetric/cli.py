@@ -280,6 +280,8 @@ def _cmd_random(args) -> int:
     if args.action == "property-run":
         lo, _, hi = args.seeds.partition(":")
         seeds = range(int(lo), int(hi)) if hi else range(int(lo))
+        if not seeds:
+            raise StructureError(f"seed span {args.seeds!r} holds no seed")
         result = property_run(seeds, max_n=args.max_n)
         lines = [f"seeds {seeds.start}..{seeds.stop - 1}, {result.spaces_checked} spaces, "
                  f"{len(result.failures)} failures, {result.elapsed:.2f}s"]

@@ -31,7 +31,8 @@ class FinitePMSpace:
     """A finite space given by an explicit rational distance table.
 
     The constructor enforces only structural validity (square table of
-    nonnegative rationals over distinct points); the axioms themselves
+    nonnegative rationals over distinct points; a text entry is read as
+    by :func:`points.parse_rational`); the axioms themselves
     are the business of :func:`check_axioms`, so that broken tables can
     be loaded and diagnosed.
     """
@@ -50,7 +51,13 @@ class FinitePMSpace:
         for row in matrix:
             if len(row) != len(pts):
                 raise StructureError("table is not square")
-            entries = tuple(Fraction(v) for v in row)
+            try:
+                # Text goes through the one rational reader, which refuses exponents.
+                entries = tuple(v if type(v) is Fraction
+                                else parse_rational(v) if isinstance(v, str) else Fraction(v)
+                                for v in row)
+            except ValueError as exc:
+                raise StructureError(str(exc)) from exc
             if any(v < 0 for v in entries):
                 raise StructureError("distances must be nonnegative")
             rows.append(entries)

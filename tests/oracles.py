@@ -64,6 +64,14 @@ def metric_violation(matrix):
     return None
 
 
+def triangle_rows(matrix):
+    """Rows i with some p(i,j) > p(i,k) + p(k,j) - p(k,k), in order. Pure Fractions."""
+    n = len(matrix)
+    return [i for i in range(n)
+            if any(matrix[i][j] > matrix[i][k] + matrix[k][j] - matrix[k][k]
+                   for j in range(n) for k in range(n))]
+
+
 def _candidate_radii(matrix):
     n = len(matrix)
     gaps = sorted({matrix[i][j] - matrix[i][i]

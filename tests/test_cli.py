@@ -233,6 +233,11 @@ class TestRandom:
         code, _, err = run(capsys, "random", "property-run", "--seeds", "0:3", "--max-n", "0")
         assert code == 2 and "max_n" in err
 
+    @pytest.mark.parametrize("span", ["5:2", "3:3", "0"])
+    def test_empty_seed_span_exits_two(self, capsys, span):
+        code, out, err = run(capsys, "random", "property-run", "--seeds", span)
+        assert code == 2 and out == "" and "holds no seed" in err
+
     def test_bad_argument_exits_two(self, capsys):
         code, _, err = run(capsys, "random", "generate", "-n", "0")
         assert code == 2 and "error" in err

@@ -39,6 +39,7 @@ rationals = st.builds(lambda a, b: f"{a}/{b}", st.integers(-2, 12), st.integers(
 rationals = rationals | st.sampled_from(("0", "1", "1/2", "3/4", "0.5", "x/y", "1e99999999",
                                          "1E-99999999"))
 point_lists = st.lists(st.sampled_from(POINT_IDS), min_size=1, max_size=4).map(",".join)
+# A span of width -1 or 0 holds no seed, which exits 2.
 seed_spans = st.builds(lambda lo, k: f"{lo}:{lo + k}", st.integers(0, 50), st.integers(-1, 3))
 
 # Table and sequence documents: mostly well-shaped with n <= 5, sometimes arbitrary JSON.

@@ -1,6 +1,7 @@
 """Core types, axiom verdicts, derived metrics, separation."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,17 @@ class TestConstruction:
     def test_rejects_duplicates(self):
         with pytest.raises(StructureError):
             FinitePMSpace(["a", "a"], [[F(0), F(1)], [F(1), F(0)]])
+
+    def test_text_entries_read_as_rationals(self):
+        sp = FinitePMSpace(["a", "b"], [["0", "1/2"], ["0.5", 1]])
+        assert sp.matrix == ((F(0), F(1, 2)), (F(1, 2), F(1)))
+
+    @pytest.mark.parametrize("text", ["1e200000", "1e9999999", "x/y"])
+    def test_exponent_or_bad_text_entry_is_refused_at_once(self, text):
+        start = time.monotonic()
+        with pytest.raises(StructureError, match="not a rational"):
+            FinitePMSpace(["a"], [[text]])
+        assert time.monotonic() - start < 1
 
     def test_unknown_point(self):
         sp = two_point(F(0), F(0), F(1))
