@@ -1,38 +1,29 @@
-"""Time the pure and compiled table scans on growing spaces.
+"""Time the table scans on growing spaces.
 
-The axiom scan is cubic in the point count, so it is the only part of
-the package whose runtime is worth a compiled core. Tables are built
-from the Lipschitz construction (d(x,y) + f(x) + f(y)) / 2, which is
-valid by construction, so every timing run exercises the full P1-P4
-sweep without finding a violation (the worst case). Both
-implementations are called directly on the same flattened numerators;
-the `active` column names the one `kernels` dispatches to.
+The axiom scan is cubic in the point count. Tables are built from the
+Lipschitz construction (d(x,y) + f(x) + f(y)) / 2, which is valid by
+construction, so every timing run exercises the full P1-P4 sweep
+without finding a violation (the worst case). The integer scans are
+timed on numerators flattened beforehand, so flattening is not counted.
 
 Each size has three rows: the axiom scan and the `p_m` metric scan on a
 table over twelfths, and the axiom scan on a wide table whose values
 cycle through eight prime denominators near 2^12, so that from eight
-points on its numerators (the `bits` column) are past the int64 guard;
-smaller sizes have no wide row. The pure scan packs each
-row into one int whose fields are as wide as the table's spread, so the
-wide row shows what wider fields cost; the compiled scan cannot take
-that table and the dispatcher always sends it to the pure scan.
+points on its numerators (the `bits` column) are near 2^96; smaller
+sizes have no wide row. The scan packs each row into one int whose
+fields are as wide as the table's spread, so the wide row shows what
+wider fields cost.
 
-Run:  python3 benchmarks/bench_scan.py [--sizes 16,32,64,128] [--repeats 3]
+Run:  PYTHONPATH=src python3 benchmarks/bench_scan.py [--sizes 16,32,64,128] [--repeats 3]
 """
 
 import argparse
 import random
 import time
-from array import array
 from fractions import Fraction
 
-from partialmetric import _scan_py, kernels
+from partialmetric import kernels
 from partialmetric.core import FinitePMSpace, p_m_matrix
-
-try:
-    from partialmetric import _scan as _scan_c
-except ImportError:
-    _scan_c = None
 
 F = Fraction
 
@@ -72,29 +63,20 @@ def main() -> None:
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
-    if _scan_c is None:
-        print("compiled extension not built; timing the pure scan only")
-    header = (f"{'n':>5} {'scan':>12} {'bits':>5} {'active':>9} {'pure (ms)':>12} "
-              f"{'compiled (ms)':>14} {'speedup':>9}")
+    header = f"{'n':>5} {'scan':>12} {'bits':>5} {'time (ms)':>10}"
     print(header)
     print("-" * len(header))
     for n in sizes:
         space = build_space(n)
-        rows = [("axioms", "axiom_scan", space.matrix, False),
-                ("p_m metric", "metric_scan", p_m_matrix(space), False)]
+        rows = [("axioms", kernels.axiom_scan_flat, space.matrix),
+                ("p_m metric", kernels.metric_scan_flat, p_m_matrix(space))]
         if n >= len(WIDE_DENOMINATORS):
-            rows.append(("axioms wide", "axiom_scan", build_space(n, wide=True).matrix, True))
-        for label, name, matrix, is_wide in rows:
+            rows.append(("axioms wide", kernels.axiom_scan_flat, build_space(n, wide=True).matrix))
+        for label, scan, matrix in rows:
             flat = kernels.flatten_numerators(matrix)
             bits = max(abs(v) for v in flat).bit_length()
-            active = "pure" if is_wide else kernels.active_backend()
-            pure = time_scan(getattr(_scan_py, name), flat, n, "pure", args.repeats)
-            row = f"{n:>5} {label:>12} {bits:>5} {active:>9} {pure * 1e3:>12.2f}"
-            if _scan_c is not None and not is_wide:
-                fast = time_scan(getattr(_scan_c, name), array("q", flat), n, "compiled",
-                                 args.repeats)
-                row += f" {fast * 1e3:>14.2f} {pure / fast:>8.1f}x"
-            print(row)
+            best = time_scan(scan, flat, n, label, args.repeats)
+            print(f"{n:>5} {label:>12} {bits:>5} {best * 1e3:>10.2f}")
 
 
 if __name__ == "__main__":

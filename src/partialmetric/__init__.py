@@ -2,9 +2,8 @@
 
 Spaces carry rational distance tables or exact formula evaluators; every
 verdict (axioms, convergence certificates, condition checks, fixed-point
-traces) is computed in exact arithmetic. The hot table scans run on a
-compiled core when available, with a pure-Python twin selected at import
-time otherwise.
+traces) is computed in exact arithmetic. The axiom and metric verdicts
+come from one pure-Python scan over integer numerators (``kernels``).
 """
 
 from .analysis import (
@@ -79,7 +78,6 @@ from .fixedpoint import (
     iterate,
     solve_on_bottom,
 )
-from .kernels import active_backend, compiled_available
 from .points import FSet, Point, format_point, format_rational, parse_rational
 from .properties import check_space_properties, property_run
 

@@ -1,38 +1,20 @@
-"""Scan implementations: the pure backend against the brute-force oracle,
-and the compiled extension, when built, against the pure backend."""
+"""The table scans against the brute-force oracle."""
 
-from array import array
 from fractions import Fraction
 
-import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from partialmetric import _scan_py, kernels, random_pm_space
+from partialmetric import kernels, random_pm_space
 from partialmetric.core import p_m_matrix
 
 from oracles import axiom_violation, metric_violation, triangle_rows
 
-try:
-    from partialmetric import _scan as _scan_c
-except ImportError:
-    _scan_c = None
-
 F = Fraction
 
-needs_compiled = pytest.mark.skipif(_scan_c is None, reason="compiled extension not built")
-
-# Largest numerators on either side of the dispatcher's int64 guard.
-GUARD_TOPS = (kernels._INT64_SAFE - 1, kernels._INT64_SAFE)
-
-
-def pure_scan(name, matrix):
-    return getattr(_scan_py, name)(kernels.flatten_numerators(matrix), len(matrix))
-
-
-def compiled_scan(name, matrix):
-    flat = kernels.flatten_numerators(matrix)
-    return getattr(_scan_c, name)(array("q", flat), len(matrix))
+# Large numerators: the packed triangle scan's fields are as wide as the
+# table's spread, so these tables test the field width at ~61 bits.
+WIDE_TOPS = (2**61 - 1, 2**61)
 
 
 def int_matrices(max_n=5):
@@ -58,18 +40,18 @@ def _narrow(base):
 
 
 def edge_matrices():
-    """Tables at either side of the int64 guard, and tables with gaps of 1/10^12."""
+    """Tables with numerators near ``WIDE_TOPS``, and tables with gaps of 1/10^12."""
     return st.one_of(
-        st.tuples(int_matrices(), st.sampled_from(GUARD_TOPS)).map(lambda t: _widen(*t)),
-        st.sampled_from(GUARD_TOPS).map(lambda top: [[F(0), F(top)], [F(top), F(0)]]),
-        st.sampled_from(GUARD_TOPS).map(
+        st.tuples(int_matrices(), st.sampled_from(WIDE_TOPS)).map(lambda t: _widen(*t)),
+        st.sampled_from(WIDE_TOPS).map(lambda top: [[F(0), F(top)], [F(top), F(0)]]),
+        st.sampled_from(WIDE_TOPS).map(
             lambda top: [[F(0), F(top), F(1)], [F(top), F(0), F(1)], [F(1), F(1), F(0)]]),
         int_matrices().map(_narrow),
     )
 
 
 @st.composite
-def triangle_tables(draw, metric=False, tops=GUARD_TOPS):
+def triangle_tables(draw, metric=False, tops=WIDE_TOPS):
     """Tables that pass every pair axiom, so each scan reaches its triangle phase.
 
     Symmetric, off-diagonal entries in [low, 12]; the diagonal is zero
@@ -106,26 +88,10 @@ def any_matrices():
                      triangle_tables(metric=True))
 
 
-@needs_compiled
-@settings(max_examples=300, deadline=None)
-@given(any_matrices())
-def test_axiom_scan_backends_agree(matrix):
-    assert compiled_scan("axiom_scan", matrix) == pure_scan("axiom_scan", matrix)
-
-
-@needs_compiled
-@settings(max_examples=300, deadline=None)
-@given(any_matrices())
-def test_metric_scan_backends_agree(matrix):
-    assert compiled_scan("metric_scan", matrix) == pure_scan("metric_scan", matrix)
-
-
 @settings(max_examples=200, deadline=None)
 @given(any_matrices())
 def test_axiom_scan_matches_oracle(matrix):
-    hit = pure_scan("axiom_scan", matrix)
-    assert kernels.axiom_scan(matrix) == hit
-    assert _axiom_witness(hit) == axiom_violation(matrix)
+    assert _axiom_witness(kernels.axiom_scan(matrix)) == axiom_violation(matrix)
 
 
 def _axiom_witness(hit):
@@ -147,9 +113,7 @@ def _metric_witness(hit):
 @settings(max_examples=200, deadline=None)
 @given(any_matrices())
 def test_metric_scan_matches_oracle(matrix):
-    hit = pure_scan("metric_scan", matrix)
-    assert kernels.metric_scan(matrix) == hit
-    assert _metric_witness(hit) == metric_violation(matrix)
+    assert _metric_witness(kernels.metric_scan(matrix)) == metric_violation(matrix)
 
 
 def assert_packed_rows_exact(matrix):
@@ -159,59 +123,54 @@ def assert_packed_rows_exact(matrix):
     cannot show it; this checks the field arithmetic itself.
     """
     flat = kernels.flatten_numerators(matrix)
-    assert list(_scan_py._violating_rows(flat, len(matrix))) == triangle_rows(matrix)
+    assert list(kernels._violating_rows(flat, len(matrix))) == triangle_rows(matrix)
 
 
-# Entries near 2^100 as well: wider than any int64, so only the pure scan takes them.
-WIDE_TOPS = GUARD_TOPS + (2**100,)
+# Entries near 2^100 as well: packed fields over 100 bits wide.
+WIDER_TOPS = WIDE_TOPS + (2**100,)
 
 
 @settings(max_examples=300, deadline=None)
-@given(triangle_tables(tops=WIDE_TOPS))
+@given(triangle_tables(tops=WIDER_TOPS))
 def test_axiom_triangle_phase_matches_oracle(matrix):
-    hit = pure_scan("axiom_scan", matrix)
+    hit = kernels.axiom_scan(matrix)
     assert hit is None or hit[0] == 4, "the table must pass P1-P3"
     event("P4 violation" if hit else "no violation")
-    assert kernels.axiom_scan(matrix) == hit
     assert _axiom_witness(hit) == axiom_violation(matrix)
     assert_packed_rows_exact(matrix)
 
 
 @settings(max_examples=300, deadline=None)
-@given(triangle_tables(metric=True, tops=WIDE_TOPS))
+@given(triangle_tables(metric=True, tops=WIDER_TOPS))
 def test_metric_triangle_phase_matches_oracle(matrix):
-    hit = pure_scan("metric_scan", matrix)
+    hit = kernels.metric_scan(matrix)
     assert hit is None or hit[0] == 4, "the table must pass identity, positivity, symmetry"
     event("triangle violation" if hit else "no violation")
-    assert kernels.metric_scan(matrix) == hit
     assert _metric_witness(hit) == metric_violation(matrix)
     assert_packed_rows_exact(matrix)
 
 
 def test_empty_table_has_no_violation():
-    assert _scan_py.axiom_scan([], 0) is None
-    assert _scan_py.metric_scan([], 0) is None
-    assert list(_scan_py._violating_rows([], 0)) == []
+    assert kernels.axiom_scan([]) is None
+    assert kernels.metric_scan([]) is None
+    assert list(kernels._violating_rows([], 0)) == []
 
 
-def test_guard_and_gap_tables_reach_the_edges():
-    tops = {max(kernels.flatten_numerators(_widen([[0, 5], [5, 0]], top))) for top in GUARD_TOPS}
-    assert tops == {kernels._INT64_SAFE - 1, kernels._INT64_SAFE}
+def test_wide_and_gap_tables_reach_the_edges():
+    tops = {max(kernels.flatten_numerators(_widen([[0, 5], [5, 0]], top))) for top in WIDE_TOPS}
+    assert tops == set(WIDE_TOPS)
     gaps = _narrow([[0, 1], [1, 0]])
     assert gaps[0][1] - gaps[0][0] == F(1, 10**12)
 
 
-def test_random_spaces_pass_both_backends():
+def test_random_spaces_pass_the_axiom_and_p_m_metric_scans():
     for seed in range(25):
         space = random_pm_space(seed, seed % 7 + 1)
-        assert pure_scan("axiom_scan", space.matrix) is None
-        if _scan_c is not None:
-            assert compiled_scan("axiom_scan", space.matrix) is None
-        assert pure_scan("metric_scan", p_m_matrix(space)) is None
+        assert kernels.axiom_scan(space.matrix) is None
+        assert kernels.metric_scan(p_m_matrix(space)) is None
 
 
-def test_wide_numerators_fall_back_to_exact_ints():
-    # Numerators past the int64 guard must still give exact verdicts.
+def test_huge_numerators_give_exact_verdicts():
     big = F(2**70)
     matrix = [[F(0), big], [big, F(0)]]
     hit = kernels.axiom_scan(matrix)
@@ -226,3 +185,10 @@ def test_first_violation_is_deterministic():
     matrix = [[F(0), F(1)], [F(2), F(0)]]
     hit = kernels.axiom_scan(matrix)
     assert (hit.code, hit.i, hit.j) == (3, 0, 1)
+
+
+def test_benchmark_env_line_reads_the_pure_backend():
+    # perfbench/run.py's environment() reads both for its env line, and
+    # compare.py pairs runs only when the backends match.
+    assert kernels.active_backend() == "pure"
+    assert kernels.compiled_available() is False
