@@ -76,6 +76,7 @@ from .fixedpoint import (
     constant_map_ruled_out,
     exhaustive_condition_maps,
     iterate,
+    least_factor,
     solve_on_bottom,
 )
 from .points import FSet, Point, format_point, format_rational, parse_rational

@@ -28,6 +28,10 @@ from .points import FSet, Point, format_point, resolve_point
 
 F = Fraction
 
+# validate_entry checks each canonical sample plus SAMPLE_COUNT points drawn with SAMPLE_SEED.
+SAMPLE_SEED = 0
+SAMPLE_COUNT = 24
+
 
 @dataclass(frozen=True)
 class BottomDecl:
@@ -125,21 +129,23 @@ class MapSpec:
 @dataclass(frozen=True)
 class CatalogEntry:
     space: CatalogSpace
-    maps: tuple[tuple[str, MapSpec], ...] = ()
-    sequences: tuple[tuple[str, SequenceSpec], ...] = ()
+    maps: tuple[MapSpec, ...] = ()
+    sequences: tuple[SequenceSpec, ...] = ()
     known_fixed_points: tuple[Point, ...] = ()
 
     def map(self, name: str) -> MapSpec:
-        for key, spec in self.maps:
-            if key == name:
-                return spec
-        raise CatalogKeyError(name)
+        return _named(self.maps, name)
 
     def sequence(self, name: str) -> SequenceSpec:
-        for key, spec in self.sequences:
-            if key == name:
-                return spec
-        raise CatalogKeyError(name)
+        return _named(self.sequences, name)
+
+
+def _named(specs, name: str):
+    """The map or sequence whose own ``name`` is ``name``."""
+    for spec in specs:
+        if spec.name == name:
+            return spec
+    raise CatalogKeyError(name)
 
 
 def _rng(tag: str, seed: int) -> random.Random:
@@ -455,47 +461,29 @@ def apex_space(k: int = APEX_DEFAULT_SIZE) -> CatalogSpace:
     )
 
 
-# -- named sequences ---------------------------------------------------------
+# -- the catalog: each entry with the maps and sequences it declares ----------
 
-SEQUENCES: dict[str, SequenceSpec] = {
-    "ex3.2.alt": SequenceSpec.periodic(
-        (FSet(GROUND_ABC, 0b001), FSet(GROUND_ABC, 0b010)), name="ex3.2.alt"),
-    "ex3.4.recip": SequenceSpec.from_generator(lambda n: F(1, n), name="ex3.4.recip"),
-    "ex3.4.T.recip": SequenceSpec.periodic((F(-6), F(-7)), name="ex3.4.T.recip"),
-    "ex4.8.naturals": SequenceSpec.from_generator(lambda n: F(n), name="ex4.8.naturals"),
-    "ex5.4.orbit0": SequenceSpec.from_generator(
-        lambda n: F(2**n - 1, 2**n), name="ex5.4.orbit0"),
-    "ex5.4.orbit3": SequenceSpec.from_generator(
-        lambda n: 2 + F(1, 2**n), name="ex5.4.orbit3"),
-    "ex5.5.recip": SequenceSpec.from_generator(lambda n: F(1, n), name="ex5.5.recip"),
-    "ex5.6.tail": SequenceSpec.from_generator(lambda n: F(1, n + 1), name="ex5.6.tail"),
-}
-
-
-_ENTRIES: dict[str, CatalogEntry] = {
-    "ex3.1": CatalogEntry(EX31),
-    "ex3.2": CatalogEntry(EX32, sequences=(("ex3.2.alt", SEQUENCES["ex3.2.alt"]),)),
-    "ex3.4": CatalogEntry(
-        EX34,
-        maps=(("ex3.4.T", MapSpec("ex3.4.T", _ex34_T)),),
-        sequences=(("ex3.4.recip", SEQUENCES["ex3.4.recip"]),
-                   ("ex3.4.T.recip", SEQUENCES["ex3.4.T.recip"])),
-        known_fixed_points=(F(-5),),
-    ),
-    "ex4.4": CatalogEntry(EX44),
-    "ex4.8": CatalogEntry(EX48, sequences=(("ex4.8.naturals", SEQUENCES["ex4.8.naturals"]),)),
-    "ex5.4": CatalogEntry(
-        EX54,
-        maps=(("ex5.4.T", MapSpec("ex5.4.T", _ex54_T)),),
-        sequences=(("ex5.4.orbit0", SEQUENCES["ex5.4.orbit0"]),
-                   ("ex5.4.orbit3", SEQUENCES["ex5.4.orbit3"])),
-        known_fixed_points=(F(1), F(2)),
-    ),
-    "ex5.5": CatalogEntry(EX55, sequences=(("ex5.5.recip", SEQUENCES["ex5.5.recip"]),)),
-    "ex5.6": CatalogEntry(EX56, sequences=(("ex5.6.tail", SEQUENCES["ex5.6.tail"]),)),
-    "ex5.8": CatalogEntry(EX58),
-    "apex": CatalogEntry(apex_space()),
-}
+_ENTRIES: dict[str, CatalogEntry] = {entry.space.name: entry for entry in (
+    CatalogEntry(EX31),
+    CatalogEntry(EX32, sequences=(SequenceSpec.periodic(
+        (FSet(GROUND_ABC, 0b001), FSet(GROUND_ABC, 0b010)), name="ex3.2.alt"),)),
+    CatalogEntry(EX34, maps=(MapSpec("ex3.4.T", _ex34_T),), known_fixed_points=(F(-5),),
+                 sequences=(SequenceSpec.from_generator(lambda n: F(1, n), name="ex3.4.recip"),
+                            SequenceSpec.periodic((F(-6), F(-7)), name="ex3.4.T.recip"))),
+    CatalogEntry(EX44),
+    CatalogEntry(EX48, sequences=(
+        SequenceSpec.from_generator(lambda n: F(n), name="ex4.8.naturals"),)),
+    CatalogEntry(EX54, maps=(MapSpec("ex5.4.T", _ex54_T),), known_fixed_points=(F(1), F(2)),
+                 sequences=(
+                     SequenceSpec.from_generator(lambda n: F(2**n - 1, 2**n), name="ex5.4.orbit0"),
+                     SequenceSpec.from_generator(lambda n: 2 + F(1, 2**n), name="ex5.4.orbit3"))),
+    CatalogEntry(EX55, sequences=(
+        SequenceSpec.from_generator(lambda n: F(1, n), name="ex5.5.recip"),)),
+    CatalogEntry(EX56, sequences=(
+        SequenceSpec.from_generator(lambda n: F(1, n + 1), name="ex5.6.tail"),)),
+    CatalogEntry(EX58),
+    CatalogEntry(apex_space()),
+)}
 
 
 def catalog_names() -> list[str]:
@@ -514,32 +502,25 @@ def catalog_space(name: str) -> CatalogSpace:
 
 
 def catalog_map(name: str, points: Sequence[Point] = ()) -> MapSpec:
-    """Look up a map id: "ex3.4.T", "ex5.4.T", or "const.<point id>".
+    """Look up a map declared on a catalog entry, or "const.<point id>".
 
     The id after "const." is resolved against ``points`` (see
     :func:`resolve_point`), so it can name any point those hold.
     """
     if name.startswith("const."):
         return MapSpec.constant(resolve_point(points, name[len("const."):]), name=name)
-    for entry in _ENTRIES.values():
-        for key, spec in entry.maps:
-            if key == name:
-                return spec
-    raise CatalogKeyError(name)
+    return _named((T for entry in _ENTRIES.values() for T in entry.maps), name)
 
 
 def catalog_sequence(name: str) -> SequenceSpec:
-    try:
-        return SEQUENCES[name]
-    except KeyError:
-        raise CatalogKeyError(name) from None
+    return _named((seq for entry in _ENTRIES.values() for seq in entry.sequences), name)
 
 
-def validate_entry(entry: CatalogEntry, seed: int = 0, count: int = 24) -> list[str]:
+def validate_entry(entry: CatalogEntry) -> list[str]:
     """Check an entry's samples against its declarations; returns problems."""
     sp = entry.space
     problems: list[str] = []
-    pts = list(sp.canonical_sample) + sp.sample(seed, count)
+    pts = list(sp.canonical_sample) + sp.sample(SAMPLE_SEED, SAMPLE_COUNT)
     for x in pts:
         if not sp.contains(x):
             problems.append(f"sampled point {format_point(x)} outside domain")
@@ -560,19 +541,18 @@ def validate_entry(entry: CatalogEntry, seed: int = 0, count: int = 24) -> list[
     report = check_axioms(sp.finite_sample())
     if not report.ok:
         problems.append(f"canonical sample violates {report.violated_axiom}")
-    for key, spec in entry.maps:
+    for T in entry.maps:
         for x in sp.canonical_sample:
-            image = spec.apply(x)
-            if not sp.contains(image):
-                problems.append(f"map {key} leaves the domain at {format_point(x)}")
-    for key, spec in entry.sequences:
+            if not sp.contains(T.apply(x)):
+                problems.append(f"map {T.name} leaves the domain at {format_point(x)}")
+    for seq in entry.sequences:
         for n in (1, 2, 3, 5, 8):
             try:
-                term = spec.term(n)
+                term = seq.term(n)
             except UnsupportedSequenceError:
                 break
             if not sp.contains(term):
-                problems.append(f"sequence {key} leaves the domain at n={n}")
+                problems.append(f"sequence {seq.name} leaves the domain at n={n}")
     return problems
 
 

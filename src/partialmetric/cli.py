@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .analysis import (
     DEFAULT_HORIZON,
@@ -49,6 +49,7 @@ from .fixedpoint import (
     constant_map_bottom,
     exhaustive_condition_maps,
     iterate,
+    least_factor,
 )
 from .points import (Point, format_point, parse_point_ids, parse_rational, read_json,
                      resolve_point, to_json)
@@ -180,31 +181,43 @@ def _cmd_topology(args) -> int:
         lines = [f"covers: {rep.covers}" + ("" if rep.covers else f" uncovered={format_point(rep.uncovered)}")]
         _emit(rep.to_dict(), lines, args.json)
         return 0 if rep.covers else 1
-    if args.probe == "net":
-        target = finite
-        if args.restrict:
-            target = finite.restrict([resolve_point(finite.points, s)
-                                      for s in args.restrict.split(",")])
-        net = totally_bounded_at(target, parse_rational(args.eps))
-        lines = [f"net size {net.size}: " + ", ".join(format_point(p) for p in net.centers)]
-        _emit(net.to_dict(), lines, args.json)
-        return 0
-    raise StructureError(f"unknown topology probe {args.probe!r}")
+    target = finite  # the probe is "net"
+    if args.restrict:
+        target = finite.restrict([resolve_point(finite.points, s)
+                                  for s in args.restrict.split(",")])
+    net = totally_bounded_at(target, parse_rational(args.eps))
+    lines = [f"net size {net.size}: " + ", ".join(format_point(p) for p in net.centers)]
+    _emit(net.to_dict(), lines, args.json)
+    return 0
+
+
+def _alpha_grid(args) -> Sequence[Fraction]:
+    return ([parse_rational(s) for s in args.alpha_grid.split(",")]
+            if args.alpha_grid else DEFAULT_ALPHA_GRID)
+
+
+def _alpha(args) -> Fraction:
+    return parse_rational(args.alpha)
+
+
+# --cond -> (checker, its parameter for `check`, its parameter for `enumerate`).
+# Enumeration under the max-condition checks the least --alpha-grid factor.
+CONDITIONS = {
+    "contraction": (check_contraction, _alpha, _alpha),
+    "max": (check_condition_max, _alpha, lambda args: least_factor(_alpha_grid(args))),
+    "min": (check_condition_min, lambda args: args.k, lambda args: args.k),
+}
 
 
 def _cmd_fixedpoint(args) -> int:
     entry, space = _resolve_space(args.space)
+    check, check_param, enumerate_param = CONDITIONS[args.cond]
     if args.action in ("check", "iterate"):
         if not args.map:
             raise StructureError(f"fixedpoint {args.action} needs --map")
         T = catalog_map(args.map, _points(space))
     if args.action == "check":
-        if args.cond == "contraction":
-            rep = check_contraction(space, T, parse_rational(args.alpha))
-        elif args.cond == "max":
-            rep = check_condition_max(space, T, parse_rational(args.alpha))
-        else:
-            rep = check_condition_min(space, T, args.k)
+        rep = check(space, T, check_param(args))
         lines = [f"{rep.condition}: {rep.verdict} over {rep.pairs_checked} {rep.scope} pairs"]
         if rep.violation:
             v = rep.violation
@@ -226,29 +239,16 @@ def _cmd_fixedpoint(args) -> int:
             lines.append(f"settled pairwise value near {tr.cauchy_value}")
         _emit(tr.to_dict(), lines, args.json)
         return 0 if tr.ok else 1
+    finite = _finite(space)
     if args.action == "enumerate":
-        finite = _finite(space)
-        if args.cond == "contraction":
-            survivors = exhaustive_condition_maps(finite, "contraction",
-                                                  alpha=parse_rational(args.alpha))
-        elif args.cond == "max":
-            alphas = ([parse_rational(s) for s in args.alpha_grid.split(",")]
-                      if args.alpha_grid else DEFAULT_ALPHA_GRID)
-            survivors = exhaustive_condition_maps(finite, "max", alphas=alphas)
-        else:
-            survivors = exhaustive_condition_maps(finite, "min", k=args.k)
+        survivors = exhaustive_condition_maps(finite, check, enumerate_param(args))
         lines = [f"{len(survivors)} surviving maps"] + [T.name for T in survivors]
         _emit({"count": len(survivors), "maps": [T.name for T in survivors]}, lines, args.json)
         return 0
-    if args.action == "bottom":
-        finite = _finite(space)
-        alphas = ([parse_rational(s) for s in args.alpha_grid.split(",")]
-                  if args.alpha_grid else DEFAULT_ALPHA_GRID)
-        survivors = constant_map_bottom(finite, alphas)
-        lines = ["constant-map bottom: " + ", ".join(format_point(p) for p in survivors)]
-        _emit({"bottom": to_json(survivors)}, lines, args.json)
-        return 0
-    raise StructureError(f"unknown fixedpoint action {args.action!r}")
+    survivors = constant_map_bottom(finite, _alpha_grid(args))  # the action is "bottom"
+    lines = ["constant-map bottom: " + ", ".join(format_point(p) for p in survivors)]
+    _emit({"bottom": to_json(survivors)}, lines, args.json)
+    return 0
 
 
 def _cmd_catalog(args) -> int:
@@ -261,34 +261,29 @@ def _cmd_catalog(args) -> int:
             raise StructureError("catalog export needs a space id")
         _emit(get_entry(args.name).space.finite_sample().to_json_dict(), [], True)
         return 0
-    if args.action == "verify":
-        names = None if args.all or not args.name else [args.name]
-        suite = run_fact_suite(names)
-        lines = [f"{'PASS' if r.ok else 'FAIL'} {r.fact_id}: {r.details}" for r in suite.results]
-        lines.append(f"{suite.passed} passed, {suite.failed} failed")
-        _emit(suite.to_dict(), lines, args.json)
-        return 0 if suite.ok else 1
-    raise StructureError(f"unknown catalog action {args.action!r}")
+    names = None if args.all or not args.name else [args.name]  # the action is "verify"
+    suite = run_fact_suite(names)
+    lines = [f"{'PASS' if r.ok else 'FAIL'} {r.fact_id}: {r.details}" for r in suite.results]
+    lines.append(f"{suite.passed} passed, {suite.failed} failed")
+    _emit(suite.to_dict(), lines, args.json)
+    return 0 if suite.ok else 1
 
 
 def _cmd_random(args) -> int:
-    seed = int(os.environ["PM_SEED"]) if os.environ.get("PM_SEED") else args.seed
     if args.action == "generate":
-        space = random_pm_space(seed, args.n, zero_f=args.zero_f)
-        _emit(space.to_json_dict(), [f"seed {seed}, {args.n} points"], True)
+        space = random_pm_space(args.seed, args.n, zero_f=args.zero_f)
+        _emit(space.to_json_dict(), [f"seed {args.seed}, {args.n} points"], True)
         return 0
-    if args.action == "property-run":
-        lo, _, hi = args.seeds.partition(":")
-        seeds = range(int(lo), int(hi)) if hi else range(int(lo))
-        if not seeds:
-            raise StructureError(f"seed span {args.seeds!r} holds no seed")
-        result = property_run(seeds, max_n=args.max_n)
-        lines = [f"seeds {seeds.start}..{seeds.stop - 1}, {result.spaces_checked} spaces, "
-                 f"{len(result.failures)} failures, {result.elapsed:.2f}s"]
-        lines += [f"  seed {f.seed} (n={f.n}): {f.detail}" for f in result.failures]
-        _emit(result.to_dict(), lines, args.json)
-        return 0 if result.ok else 1
-    raise StructureError(f"unknown random action {args.action!r}")
+    lo, _, hi = args.seeds.partition(":")  # the action is "property-run"
+    seeds = range(int(lo), int(hi)) if hi else range(int(lo))
+    if not seeds:
+        raise StructureError(f"seed span {args.seeds!r} holds no seed")
+    result = property_run(seeds, max_n=args.max_n)
+    lines = [f"seeds {seeds.start}..{seeds.stop - 1}, {result.spaces_checked} spaces, "
+             f"{len(result.failures)} failures, {result.elapsed:.2f}s"]
+    lines += [f"  seed {f.seed} (n={f.n}): {f.detail}" for f in result.failures]
+    _emit(result.to_dict(), lines, args.json)
+    return 0 if result.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("action", choices=("check", "iterate", "enumerate", "bottom"))
     fp.add_argument("--space", required=True)
     fp.add_argument("--map")
-    fp.add_argument("--cond", choices=("contraction", "max", "min"), default="max")
+    fp.add_argument("--cond", choices=tuple(CONDITIONS), default="max")
     fp.add_argument("--alpha", default="1/2")
     fp.add_argument("--alpha-grid", dest="alpha_grid")
     fp.add_argument("--k", type=int, default=1)

@@ -41,6 +41,7 @@ from .fixedpoint import (
     constant_map_ruled_out,
     exhaustive_condition_maps,
     iterate,
+    least_factor,
     solve_on_bottom,
 )
 from .points import format_point, to_json
@@ -476,7 +477,8 @@ def _facts_ex58(entry: CatalogEntry) -> list[Fact]:
 
     def only_ta(e: CatalogEntry) -> tuple[bool, str]:
         sample = e.space.finite_sample()
-        survivors = exhaustive_condition_maps(sample, "max", alphas=DEFAULT_ALPHA_GRID)
+        survivors = exhaustive_condition_maps(sample, check_condition_max,
+                                              least_factor(DEFAULT_ALPHA_GRID))
         tables = [dict(T.table) for T in survivors if T.table]
         return (len(survivors) == 1 and tables == [{"a": "a", "b": "a"}],
                 f"{len(survivors)} survivors")

@@ -6,6 +6,10 @@ Three hypotheses are checked, all with exact arithmetic:
     max-condition    p(T(x),T(y)) <= max{alpha p(x,y), p(x,x), p(y,y)}
     min-condition    min over i<=k of p(T^i(x),T^i(y)) <= (p(x,x)+p(y,y)) / 2
 
+Each checker is called as ``check(space, T, alpha or k)``; the map
+enumeration on tiny spaces takes a checker and its parameter. A grid of
+max-condition factors is decided by its ``least_factor`` alone.
+
 Verdicts are exhaustive on finite tables and sample-relative on
 formula-backed spaces; reports say which. Iteration never claims a fixed
 point it has not either hit exactly or matched, exactly, against a known
@@ -17,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .analysis import DEFAULT_TOL
 from .catalog import CatalogSpace, MapSpec
@@ -300,22 +304,31 @@ def solve_on_bottom(space, T: MapSpec, alpha: Fraction, x0: Point,
                              fixed_in_bottom, unique)
 
 
+def least_factor(alphas: Sequence[Fraction]) -> Fraction:
+    """The least factor of a max-condition grid, after every factor is validated.
+
+    The condition's left side is alpha-free and its right side is
+    nondecreasing in alpha, so it holds at every factor iff at the least.
+    """
+    for a in alphas:
+        _check_max_factor(a)
+    if not alphas:
+        raise ValueError("the max-condition needs alpha or an alpha grid")
+    return min(alphas)
+
+
 def constant_map_bottom(space: FinitePMSpace,
                         alphas: Sequence[Fraction] = DEFAULT_ALPHA_GRID) -> tuple[Point, ...]:
     """Points whose constant map satisfies the max-condition at every grid factor.
 
-    For a constant map the left side is alpha-free and the right side is
-    nondecreasing in alpha, so the condition holds at every grid factor
-    iff it holds at the least one, the only factor checked (after every
-    factor is validated). An empty grid keeps every point. The result
-    must coincide with the bottom set and that is rechecked. Cost:
-    O(n^3) plus one pass over the grid, whatever the table values.
+    Only the grid's least factor is checked (see :func:`least_factor`);
+    an empty grid keeps every point. The result must coincide with the
+    bottom set and that is rechecked. Cost: O(n^3) plus one pass over
+    the grid, whatever the table values.
     """
-    for a in alphas:
-        _check_max_factor(a)
     survivors = list(space.points)
     if alphas:
-        least = min(alphas)
+        least = least_factor(alphas)
         survivors = [z for z in survivors
                      if check_condition_max(space, MapSpec.constant(z), least).ok]
     if set(survivors) != set(bottom_set(space)):
@@ -335,48 +348,21 @@ def constant_map_ruled_out(space: CatalogSpace, z: Point) -> bool:
     return space.p(z, z) > space.declared_rho_p
 
 
-def exhaustive_condition_maps(space: FinitePMSpace, condition: str, *,
-                              alpha: Optional[Fraction] = None,
-                              alphas: Optional[Sequence[Fraction]] = None,
-                              k: Optional[int] = None) -> list[MapSpec]:
-    """All self-maps of a tiny space satisfying the condition, in table order.
+def exhaustive_condition_maps(space: FinitePMSpace, check: Callable[..., ConditionReport],
+                              param: Fraction | int) -> list[MapSpec]:
+    """All self-maps of a tiny space that pass ``check(space, T, param)``, in table order.
 
-    Under the max-condition the left side is alpha-free and the right side
-    is nondecreasing in alpha, so a map passes every grid factor iff it
-    passes the least one, the only factor checked (after every factor is
-    validated).
+    ``check`` is a checker of this module and ``param`` its alpha or k.
     """
     n = len(space)
     if n > 5:
         raise SizeLimitError(f"{n}**{n} maps is past the enumeration cutoff (n <= 5)")
     pts = space.points
-    if condition == "max":
-        grid = tuple(alphas) if alphas is not None else (() if alpha is None else (alpha,))
-        if not grid:
-            raise ValueError("the max-condition needs alpha or an alpha grid")
-        for a in grid:
-            _check_max_factor(a)
-        least = min(grid)
-    elif condition == "contraction":
-        if alpha is None:
-            raise ValueError("a contraction check needs alpha")
-    elif condition == "min":
-        if k is None:
-            raise ValueError("the min-condition needs k")
-    else:
-        raise ValueError(f"unknown condition {condition!r}")
-
     survivors = []
     for images in itertools.product(range(n), repeat=n):
         table = {pts[i]: pts[images[i]] for i in range(n)}
         name = "map:" + ",".join(format_point(pts[i]) for i in images)
         T = MapSpec.from_table(name, table)
-        if condition == "max":
-            ok = check_condition_max(space, T, least).ok
-        elif condition == "contraction":
-            ok = check_contraction(space, T, alpha).ok
-        else:
-            ok = check_condition_min(space, T, k).ok
-        if ok:
+        if check(space, T, param).ok:
             survivors.append(T)
     return survivors

@@ -61,9 +61,10 @@ def parse_rational(text: str) -> Fraction:
     Exponent notation is refused before ``Fraction`` sees it: it would
     build ``10**exp`` first, so "1e99999999" alone takes minutes. Text
     with a "/" cannot carry an exponent in ``Fraction``'s grammar, so the
-    common "num/den" form costs one scan for "/".
+    common "num/den" form costs one scan for "/". Digit separators ("1_000")
+    are refused too, since ``Fraction`` accepts them only from Python 3.11 on.
     """
-    if "/" not in text and ("e" in text or "E" in text):
+    if "_" in text or ("/" not in text and ("e" in text or "E" in text)):
         raise ValueError(f"not a rational: {text!r}")
     try:
         return Fraction(text)

@@ -27,10 +27,11 @@ from .core import (
     p_m_matrix,
     rho_of,
 )
-from .fixedpoint import constant_map_bottom, exhaustive_condition_maps
+from .fixedpoint import check_condition_max, constant_map_bottom, exhaustive_condition_maps
 from .points import Record, to_json
 
 ENUMERATION_LIMIT = 4
+ALPHA = Fraction(1, 2)  # the max-condition factor, also in the shifted contraction
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class PropertyRunResult:
         }
 
 
-def check_space_properties(space: FinitePMSpace, alpha: Fraction = Fraction(1, 2)) -> list[str]:
+def check_space_properties(space: FinitePMSpace) -> list[str]:
     """All structural checks for one space; returns failure descriptions."""
     problems: list[str] = []
     report = check_axioms(space)
@@ -104,7 +105,7 @@ def check_space_properties(space: FinitePMSpace, alpha: Fraction = Fraction(1, 2
     if n <= ENUMERATION_LIMIT:
         rho = rho_of(space)
         bset = set(bottom)
-        for T in exhaustive_condition_maps(space, "max", alpha=alpha):
+        for T in exhaustive_condition_maps(space, check_condition_max, ALPHA):
             for z in bottom:
                 if T.apply(z) not in bset:
                     problems.append(f"survivor {T.name} moves {z} out of the bottom set")
@@ -112,15 +113,14 @@ def check_space_properties(space: FinitePMSpace, alpha: Fraction = Fraction(1, 2
                 for b in range(a, len(bottom)):
                     x, y = bottom[a], bottom[b]
                     lhs = space.p(T.apply(x), T.apply(y)) - rho
-                    rhs = alpha * (space.p(x, y) - rho)
+                    rhs = ALPHA * (space.p(x, y) - rho)
                     if lhs > rhs:
                         problems.append(
                             f"survivor {T.name} breaks the shifted contraction at ({x},{y})")
     return problems
 
 
-def property_run(seeds: Iterable[int], max_n: int = 7,
-                 alpha: Fraction = Fraction(1, 2)) -> PropertyRunResult:
+def property_run(seeds: Iterable[int], max_n: int = 7) -> PropertyRunResult:
     """Run the full suite over random spaces with n = (seed mod max_n) + 1."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
@@ -131,6 +131,6 @@ def property_run(seeds: Iterable[int], max_n: int = 7,
         checked += 1
         n = seed % max_n + 1
         space = random_pm_space(seed, n)
-        for problem in check_space_properties(space, alpha):
+        for problem in check_space_properties(space):
             failures.append(PropertyFailure(seed, n, problem.split(":")[0], problem))
     return PropertyRunResult(checked, tuple(failures), time.monotonic() - start)

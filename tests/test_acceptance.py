@@ -30,6 +30,7 @@ from partialmetric import (
     get_entry,
     is_cauchy,
     iterate,
+    least_factor,
     limit_set,
     p_m,
     properly_converges,
@@ -207,8 +208,8 @@ def test_criterion_8_bottom_set_pathologies():
 
         # ex5.8: a single constant map survives exhaustive enumeration
         sample58 = catalog_space("ex5.8").finite_sample()
-        survivors58 = exhaustive_condition_maps(sample58, "max",
-                                                alphas=(F(0), F(1, 2), F(3, 4)))
+        survivors58 = exhaustive_condition_maps(sample58, check_condition_max,
+                                                least_factor((F(0), F(1, 2), F(3, 4))))
         assert len(survivors58) == 1
         assert dict(survivors58[0].table) == {"a": "a", "b": "a"}
         ok = True
@@ -233,8 +234,8 @@ def test_criterion_10_min_condition_is_square_constant():
     try:
         for seed in range(20):
             sp = random_pm_space(seed, 3, zero_f=True)
-            contractions = exhaustive_condition_maps(sp, "contraction", alpha=F(1, 2))
-            min_names = {T.name for T in exhaustive_condition_maps(sp, "min", k=2)}
+            contractions = exhaustive_condition_maps(sp, check_contraction, F(1, 2))
+            min_names = {T.name for T in exhaustive_condition_maps(sp, check_condition_min, 2)}
             both = {T.name for T in contractions if T.name in min_names}
             square_constant = {
                 T.name for T in contractions

@@ -150,6 +150,54 @@ class TestSequences:
             assert seq.term(n) == T.apply(F(1, n))
 
 
+# The maps and sequences each catalog entry declares, by id.
+DECLARED = {
+    "ex3.1": ((), ()),
+    "ex3.2": ((), ("ex3.2.alt",)),
+    "ex3.4": (("ex3.4.T",), ("ex3.4.recip", "ex3.4.T.recip")),
+    "ex4.4": ((), ()),
+    "ex4.8": ((), ("ex4.8.naturals",)),
+    "ex5.4": (("ex5.4.T",), ("ex5.4.orbit0", "ex5.4.orbit3")),
+    "ex5.5": ((), ("ex5.5.recip",)),
+    "ex5.6": ((), ("ex5.6.tail",)),
+    "ex5.8": ((), ()),
+    "apex": ((), ()),
+}
+MAP_IDS = tuple(m for maps, _ in DECLARED.values() for m in maps)
+SEQ_IDS = tuple(s for _, seqs in DECLARED.values() for s in seqs)
+UNDECLARED = ("ex9.9.T", "ex5.4", "const", "", "ex5.4.t", "ex3.4.T.", "map:a,a")
+
+
+class TestLookup:
+    @pytest.mark.parametrize("space", list(DECLARED))
+    def test_every_declared_id_is_found_by_its_name(self, space):
+        entry = get_entry(space)
+        maps, seqs = DECLARED[space]
+        assert len(entry.maps) == len(maps) and len(entry.sequences) == len(seqs)
+        for map_id in maps:
+            assert entry.map(map_id).name == map_id
+            assert catalog_map(map_id) is entry.map(map_id)
+        for seq_id in seqs:
+            assert entry.sequence(seq_id).name == seq_id
+            assert catalog_sequence(seq_id) is entry.sequence(seq_id)
+        for other in set(MAP_IDS + SEQ_IDS + UNDECLARED) - set(maps):
+            with pytest.raises(CatalogKeyError):
+                entry.map(other)
+        for other in set(MAP_IDS + SEQ_IDS + UNDECLARED) - set(seqs):
+            with pytest.raises(CatalogKeyError):
+                entry.sequence(other)
+
+    @pytest.mark.parametrize("name", SEQ_IDS + UNDECLARED)
+    def test_any_other_map_id_is_a_catalog_key_error(self, name):
+        with pytest.raises(CatalogKeyError):
+            catalog_map(name)
+
+    @pytest.mark.parametrize("name", MAP_IDS + UNDECLARED)
+    def test_any_other_sequence_id_is_a_catalog_key_error(self, name):
+        with pytest.raises(CatalogKeyError):
+            catalog_sequence(name)
+
+
 class TestRandomGenerator:
     def test_singleton_self_distance_is_offset(self):
         sp = random_pm_space(123, 1)

@@ -6,9 +6,9 @@ JSON table and sequence files. Values that set the amount of work (the
 sequence horizon, iteration budget, seed span, point count, iterate
 depth) are drawn small, and every command whose default workload is
 large gets a small value first, so one example stays well under a
-second. Exponent strings are among the rationals and point ids, and one
-file content is nested past the JSON decoder's depth limit; an example
-that takes 20 s or more fails.
+second. Exponent and digit-separator strings are among the rationals
+and point ids, and one file content is nested past the JSON decoder's
+depth limit; an example that takes 20 s or more fails.
 """
 
 import contextlib
@@ -21,14 +21,13 @@ import time
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from partialmetric import catalog_names
-from partialmetric.catalog import SEQUENCES
+from partialmetric import catalog_names, get_entry
 from partialmetric.cli import main
 
 POINT_IDS = ("0/1", "1/2", "1/1", "-5/1", "2/1", "a", "b", "x1", "{}", "{a}", "{a,b}", "", "zz",
-             "1e99999999")
+             "1e99999999", "1_0")
 SPACE_IDS = tuple(catalog_names()) + ("ex9.9",)
-SEQ_IDS = tuple(SEQUENCES) + ("ex0.seq",)
+SEQ_IDS = tuple(s.name for n in catalog_names() for s in get_entry(n).sequences) + ("ex0.seq",)
 MAP_IDS = ("ex3.4.T", "ex5.4.T", "const.a", "const.{}", "const.{a}", "const.0/1", "const.1/2",
            "nomap")
 JUNK = ("--", "-", "--bogus", "x", "{", "0:", ":", "1/0", "nan", "--json=1", "é", "3:1")
@@ -37,7 +36,7 @@ ints = st.integers(min_value=-2, max_value=50).map(str)
 small_ints = st.integers(min_value=-1, max_value=5).map(str)
 rationals = st.builds(lambda a, b: f"{a}/{b}", st.integers(-2, 12), st.integers(0, 12))
 rationals = rationals | st.sampled_from(("0", "1", "1/2", "3/4", "0.5", "x/y", "1e99999999",
-                                         "1E-99999999"))
+                                         "1E-99999999", "1_0/2"))
 point_lists = st.lists(st.sampled_from(POINT_IDS), min_size=1, max_size=4).map(",".join)
 # A span of width -1 or 0 holds no seed, which exits 2.
 seed_spans = st.builds(lambda lo, k: f"{lo}:{lo + k}", st.integers(0, 50), st.integers(-1, 3))

@@ -59,12 +59,17 @@ class TestConstruction:
         sp = FinitePMSpace(["a", "b"], [["0", "1/2"], ["0.5", 1]])
         assert sp.matrix == ((F(0), F(1, 2)), (F(1, 2), F(1)))
 
-    @pytest.mark.parametrize("text", ["1e200000", "1e9999999", "x/y"])
+    @pytest.mark.parametrize("text", ["1e200000", "1e9999999", "x/y", "1_000", "1_0/2"])
     def test_exponent_or_bad_text_entry_is_refused_at_once(self, text):
         start = time.monotonic()
         with pytest.raises(StructureError, match="not a rational"):
             FinitePMSpace(["a"], [[text]])
         assert time.monotonic() - start < 1
+
+    def test_digit_separator_id_is_a_tag(self):
+        sp = FinitePMSpace.from_json_dict({"points": ["1_0", "10"],
+                                           "p": [["0", "1"], ["1", "0"]]})
+        assert sp.points == ("1_0", F(10))
 
     def test_unknown_point(self):
         sp = two_point(F(0), F(0), F(1))

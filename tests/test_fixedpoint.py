@@ -22,6 +22,7 @@ from partialmetric import (
     exhaustive_condition_maps,
     get_entry,
     iterate,
+    least_factor,
     limit_set,
     random_pm_space,
     rho_of,
@@ -274,23 +275,24 @@ class TestRuledOut:
 class TestExhaustiveEnumeration:
     def test_ex58_only_constant_a(self):
         sample = catalog_space("ex5.8").finite_sample()
-        survivors = exhaustive_condition_maps(sample, "max", alphas=(F(0), F(1, 2), F(3, 4)))
+        survivors = exhaustive_condition_maps(sample, check_condition_max,
+                                              least_factor((F(0), F(1, 2), F(3, 4))))
         assert len(survivors) == 1
         assert dict(survivors[0].table) == {"a": "a", "b": "a"}
 
     def test_one_point_space(self):
         sp = FinitePMSpace([F(0)], [[F(1)]])
-        for cond, kw in (("max", {"alpha": F(1, 2)}), ("min", {"k": 2})):
-            assert len(exhaustive_condition_maps(sp, cond, **kw)) == 1
+        for check, param in ((check_condition_max, F(1, 2)), (check_condition_min, 2)):
+            assert len(exhaustive_condition_maps(sp, check, param)) == 1
         # with a positive self-distance even the identity is no contraction
-        assert exhaustive_condition_maps(sp, "contraction", alpha=F(0)) == []
+        assert exhaustive_condition_maps(sp, check_contraction, F(0)) == []
         flat = FinitePMSpace([F(0)], [[F(0)]])
-        assert len(exhaustive_condition_maps(flat, "contraction", alpha=F(0))) == 1
+        assert len(exhaustive_condition_maps(flat, check_contraction, F(0))) == 1
 
     def test_size_refusal(self):
         sp = random_pm_space(0, 6)
         with pytest.raises(SizeLimitError):
-            exhaustive_condition_maps(sp, "max", alpha=F(1, 2))
+            exhaustive_condition_maps(sp, check_condition_max, F(1, 2))
 
     def test_min_condition_matches_square_constant_on_metric_spaces(self):
         # with a contraction in hand, the min-condition at depth 2 is the same
@@ -298,10 +300,10 @@ class TestExhaustiveEnumeration:
         for seed in range(20):
             sp = random_pm_space(seed, 3, zero_f=True)
             contractions = {T.name for T in exhaustive_condition_maps(
-                sp, "contraction", alpha=F(1, 2))}
-            min_maps = {T.name for T in exhaustive_condition_maps(sp, "min", k=2)}
+                sp, check_contraction, F(1, 2))}
+            min_maps = {T.name for T in exhaustive_condition_maps(sp, check_condition_min, 2)}
             square_constant = set()
-            for T in exhaustive_condition_maps(sp, "contraction", alpha=F(1, 2)):
+            for T in exhaustive_condition_maps(sp, check_contraction, F(1, 2)):
                 images = {T.apply(T.apply(x)) for x in sp.points}
                 if len(images) == 1:
                     square_constant.add(T.name)
@@ -311,7 +313,7 @@ class TestExhaustiveEnumeration:
         for seed in range(12):
             sp = random_pm_space(seed, 3)
             rho = rho_of(sp)
-            for T in exhaustive_condition_maps(sp, "min", k=2):
+            for T in exhaustive_condition_maps(sp, check_condition_min, 2):
                 fixed = [x for x in sp.points if T.apply(x) == x]
                 assert len(fixed) <= 1
                 for x in fixed:
@@ -322,7 +324,7 @@ class TestExhaustiveEnumeration:
             sp = random_pm_space(seed, 3)
             bottom = bottom_set(sp)
             bset = set(bottom)
-            for T in exhaustive_condition_maps(sp, "max", alpha=F(1, 2)):
+            for T in exhaustive_condition_maps(sp, check_condition_max, F(1, 2)):
                 for z in bottom:
                     assert T.apply(z) in bset
                 # exact sequential continuity at bottom points

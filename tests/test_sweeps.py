@@ -16,9 +16,11 @@ from partialmetric import (
     FinitePMSpace,
     catalog_names,
     catalog_space,
+    check_condition_max,
     constant_map_bottom,
     exhaustive_condition_maps,
     gdelta_diagonal,
+    least_factor,
     maximal_points,
     random_pm_space,
 )
@@ -116,7 +118,8 @@ def test_max_enumeration_matches_sweep():
     spaces += [(f"random/{seed}", random_pm_space(seed, seed % 4 + 1)) for seed in range(12)]
     for label, space in spaces:
         for grid in ENUMERATION_GRIDS:
-            got, err = _outcome(lambda: exhaustive_condition_maps(space, "max", alphas=grid))
+            got, err = _outcome(lambda: exhaustive_condition_maps(
+                space, check_condition_max, least_factor(grid)))
             want, want_err = _outcome(max_condition_maps_by_sweep, space, grid)
             assert err == want_err, (label, grid)
             if err is None:
@@ -124,10 +127,9 @@ def test_max_enumeration_matches_sweep():
 
 
 def test_max_enumeration_needs_a_factor():
-    space = catalog_space("ex5.8").finite_sample()
-    for kwargs in ({"alphas": []}, {}):
+    for grid in ([], ()):
         with pytest.raises(ValueError, match="needs alpha or an alpha grid"):
-            exhaustive_condition_maps(space, "max", **kwargs)
+            least_factor(grid)
 
 
 def test_gdelta_tiny_gap_is_one_evaluation():
