@@ -27,7 +27,6 @@ from .analysis import (
     totally_bounded_at,
 )
 from .catalog import (
-    BottomDecl,
     CatalogEntry,
     CatalogSpace,
     MapSpec,
@@ -42,6 +41,7 @@ from .catalog import (
 )
 from .core import (
     AxiomReport,
+    BottomDecl,
     FinitePMSpace,
     SeparationClass,
     ball,

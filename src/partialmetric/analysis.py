@@ -5,7 +5,8 @@ assert one. A "converges" verdict is a finite certificate (tail index and
 achieved gap at a tolerance); a "refuted" verdict is issued only when the
 offending gap recurs along an exact cycle, either declared on the
 sequence or detected as an exactly repeating tail pattern. Everything
-else is "inconclusive".
+else is "inconclusive". A sequence is periodic when it has a ``cycle``;
+every analyzer refuses a negative tolerance and a horizon below 1.
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ _MAX_PERIOD = 8
 class SequenceSpec:
     """A sequence given as an explicit prefix, a periodic pattern, or a generator.
 
-    Indices are 1-based. Periodic specs describe the whole infinite
-    sequence exactly, so verdicts computed from them are exact; explicit
-    prefixes and generators only support finite-horizon certificates.
+    Indices are 1-based. Periodic specs (those with a ``cycle``) describe
+    the whole infinite sequence exactly, so verdicts computed from them
+    are exact; explicit prefixes and generators only support
+    finite-horizon certificates.
     """
 
-    kind: str  # "explicit" | "periodic" | "generator"
     prefix: tuple[Point, ...] = ()
     cycle: tuple[Point, ...] = ()
     generator: Optional[Callable[[int], Point]] = None
@@ -47,7 +48,7 @@ class SequenceSpec:
         pts = tuple(points)
         if not pts:
             raise ValueError("empty sequence")
-        return cls("explicit", prefix=pts, name=name)
+        return cls(prefix=pts, name=name)
 
     @classmethod
     def periodic(cls, cycle: Sequence[Point], preamble: Sequence[Point] = (),
@@ -55,35 +56,37 @@ class SequenceSpec:
         cyc = tuple(cycle)
         if not cyc:
             raise ValueError("empty cycle")
-        return cls("periodic", prefix=tuple(preamble), cycle=cyc, name=name)
+        return cls(prefix=tuple(preamble), cycle=cyc, name=name)
 
     @classmethod
     def from_generator(cls, fn: Callable[[int], Point], name: Optional[str] = None) -> "SequenceSpec":
-        return cls("generator", generator=fn, name=name)
+        return cls(generator=fn, name=name)
 
     def term(self, n: int) -> Point:
         if n < 1:
             raise ValueError("sequence indices start at 1")
-        if self.kind == "explicit":
-            if n > len(self.prefix):
-                raise UnsupportedSequenceError(f"explicit sequence has {len(self.prefix)} terms")
+        if self.generator is not None:
+            return self.generator(n)
+        if n <= len(self.prefix):
             return self.prefix[n - 1]
-        if self.kind == "periodic":
-            if n <= len(self.prefix):
-                return self.prefix[n - 1]
-            return self.cycle[(n - len(self.prefix) - 1) % len(self.cycle)]
-        assert self.generator is not None
-        return self.generator(n)
+        if not self.cycle:
+            raise UnsupportedSequenceError(f"explicit sequence has {len(self.prefix)} terms")
+        return self.cycle[(n - len(self.prefix) - 1) % len(self.cycle)]
 
     def effective_horizon(self, horizon: int) -> int:
         if horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if self.kind == "explicit":
-            return min(horizon, len(self.prefix))
-        return horizon
+        if self.cycle or self.generator is not None:
+            return horizon
+        return min(horizon, len(self.prefix))
 
     def terms(self, horizon: int) -> list[Point]:
         return [self.term(n) for n in range(1, self.effective_horizon(horizon) + 1)]
+
+
+def check_tolerance(tol: Fraction) -> None:
+    if tol < 0:
+        raise ValueError("tolerance must be nonnegative")
 
 
 def _tail_period(values: Sequence) -> Optional[int]:
@@ -99,9 +102,10 @@ def _tail_period(values: Sequence) -> Optional[int]:
 
 def exact_cycle(seq: SequenceSpec, horizon: int = DEFAULT_HORIZON) -> Optional[tuple[Point, ...]]:
     """The sequence's eventual cycle: declared for periodic specs, else detected."""
-    if seq.kind == "periodic":
+    n = seq.effective_horizon(horizon)
+    if seq.cycle:
         return seq.cycle
-    pts = seq.terms(horizon)
+    pts = seq.terms(n)
     d = _tail_period(pts)
     return tuple(pts[-d:]) if d else None
 
@@ -124,7 +128,8 @@ class _GapVerdict:
 def _analyze_gaps(space, seq: SequenceSpec, gap_of: Callable[[Point], Fraction],
                   tol: Fraction, horizon: int) -> _GapVerdict:
     """Certificate/refutation analysis of one gap sequence."""
-    if seq.kind == "periodic":
+    n = seq.effective_horizon(horizon)
+    if seq.cycle:
         gaps = [(y, gap_of(y)) for y in seq.cycle]
         bad = tuple((y, g) for y, g in gaps if g > tol)
         if not bad:
@@ -132,7 +137,6 @@ def _analyze_gaps(space, seq: SequenceSpec, gap_of: Callable[[Point], Fraction],
             return _GapVerdict("ok", cert, (), True, cert.achieved_gap)
         return _GapVerdict("refuted", None, bad, True, max(g for _, g in bad))
 
-    n = seq.effective_horizon(horizon)
     pts = seq.terms(n)
     gaps = [gap_of(x) for x in pts]
     window_start = n - n // 4 + 1 if n >= 4 else 1
@@ -171,8 +175,7 @@ class ConvergenceReport(Record):
 def converges_to(space, seq: SequenceSpec, x: Point, tol: Fraction = DEFAULT_TOL,
                  horizon: int = DEFAULT_HORIZON) -> ConvergenceReport:
     """Finite certificate that p(x_n, x) settles at p(x,x) within tol."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    check_tolerance(tol)
     px = space.p(x, x)
     leg = _analyze_gaps(space, seq, lambda y: abs(space.p(y, x) - px), tol, horizon)
     mode = {"ok": "converges", "refuted": "refuted", "inconclusive": "inconclusive"}[leg.status]
@@ -183,8 +186,7 @@ def converges_to(space, seq: SequenceSpec, x: Point, tol: Fraction = DEFAULT_TOL
 def properly_converges(space, seq: SequenceSpec, x: Point, tol: Fraction = DEFAULT_TOL,
                        horizon: int = DEFAULT_HORIZON) -> ConvergenceReport:
     """As converges_to, plus the self-distances p(x_n, x_n) must settle at p(x,x)."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    check_tolerance(tol)
     px = space.p(x, x)
     plain = _analyze_gaps(space, seq, lambda y: abs(space.p(y, x) - px), tol, horizon)
     selfd = _analyze_gaps(space, seq, lambda y: abs(space.p(y, y) - px), tol, horizon)
@@ -235,11 +237,10 @@ def _cauchy_over_cycle(space, cycle: tuple[Point, ...], tol: Fraction, horizon: 
 def is_cauchy(space, seq: SequenceSpec, tol: Fraction = DEFAULT_TOL,
               horizon: int = DEFAULT_HORIZON) -> CauchyReport:
     """Do the pairwise distances p(x_n, x_m) stabilize to a single value?"""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    if seq.kind == "periodic":
-        return _cauchy_over_cycle(space, seq.cycle, tol, horizon, len(seq.prefix) + 1, True)
+    check_tolerance(tol)
     n = seq.effective_horizon(horizon)
+    if seq.cycle:
+        return _cauchy_over_cycle(space, seq.cycle, tol, horizon, len(seq.prefix) + 1, True)
     pts = seq.terms(n)
     w = max(1, min(n // 4 if n >= 4 else n, _PAIR_WINDOW))
     tail = pts[n - w:]
@@ -438,6 +439,7 @@ def seq_compact_witness(space: FinitePMSpace, seq: SequenceSpec,
                         horizon: int = DEFAULT_HORIZON) -> SubsequenceWitness:
     """A convergent subsequence: the whole sequence when a limit is exact or
     certified, otherwise a constant subsequence obtained by pigeonhole."""
+    check_tolerance(tol)
     cycle = exact_cycle(seq, horizon)
     if cycle is not None:
         exact_limits = [t for t in space.points
@@ -446,7 +448,7 @@ def seq_compact_witness(space: FinitePMSpace, seq: SequenceSpec,
             return SubsequenceWitness("full", exact_limits[0], True)
         counts = {v: cycle.count(v) for v in cycle}
         v = max(cycle, key=lambda y: (counts[y], -cycle.index(y)))
-        if seq.kind == "periodic":
+        if seq.cycle:
             start = len(seq.prefix) + cycle.index(v) + 1
             return SubsequenceWitness("constant", v, True, progression=(start, len(cycle)))
         pts = seq.terms(horizon)

@@ -1,11 +1,12 @@
 """The space catalog: formula-backed instances with declared metadata.
 
 Each entry carries an exact evaluator, the analytically known
-self-distance infimum and bottom set, a seeded sampler, and a finite
-canonical sample chosen to hit every branch of the defining formula.
-Samples are validated against the declarations, never the other way
-round: a sample minimum says nothing about an infimum that is not
-attained.
+self-distance infimum and bottom set (a :class:`core.BottomDecl`), a
+seeded sampler, and a finite canonical sample chosen to hit every branch
+of the defining formula. Samples are validated against the declarations,
+never the other way round: a sample minimum says nothing about an
+infimum that is not attained. A finite table answers the same members
+from its own table, so no caller asks which kind of space it holds.
 
 Stable identifiers: spaces "ex3.1", "ex3.2", "ex3.4", "ex4.4", "ex4.8",
 "ex5.4", "ex5.5", "ex5.6", "ex5.8", "apex"; maps "ex3.4.T", "ex5.4.T",
@@ -19,10 +20,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 from .analysis import SequenceSpec
-from .core import FinitePMSpace, check_axioms
+from .core import BottomDecl, FinitePMSpace, check_axioms
 from .errors import CatalogKeyError, DomainError, UnsupportedSequenceError
 from .points import FSet, Point, format_point, resolve_point
 
@@ -33,44 +34,14 @@ SAMPLE_SEED = 0
 SAMPLE_COUNT = 24
 
 
-@dataclass(frozen=True)
-class BottomDecl:
-    """Declared bottom set: empty, an explicit finite set, or a predicate."""
-
-    kind: str  # "empty" | "finite" | "predicate"
-    members: tuple[Point, ...] = ()
-    predicate: Optional[Callable[[Point], bool]] = None
-    description: str = ""
-
-    @classmethod
-    def empty(cls) -> "BottomDecl":
-        return cls("empty", description="empty")
-
-    @classmethod
-    def finite(cls, members: Sequence[Point], description: str = "") -> "BottomDecl":
-        mem = tuple(members)
-        return cls("finite", members=mem,
-                   description=description or "{" + ", ".join(map(format_point, mem)) + "}")
-
-    @classmethod
-    def from_predicate(cls, pred: Callable[[Point], bool], description: str) -> "BottomDecl":
-        return cls("predicate", predicate=pred, description=description)
-
-    def is_empty(self) -> bool:
-        return self.kind == "empty"
-
-    def contains(self, z: Point) -> bool:
-        if self.kind == "empty":
-            return False
-        if self.kind == "finite":
-            return z in self.members
-        assert self.predicate is not None
-        return self.predicate(z)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class CatalogSpace:
-    """A formula-backed (possibly infinite) space with declared metadata."""
+    """A formula-backed (possibly infinite) space with declared metadata.
+
+    Pair verdicts run over the canonical sample, so their scope is "sample".
+    """
+
+    scope: ClassVar[str] = "sample"
 
     name: str
     evaluator: Callable[[Point, Point], Fraction]
@@ -80,6 +51,9 @@ class CatalogSpace:
     sampler: Callable[[int, int], list[Point]]
     canonical_sample: tuple[Point, ...]
     description: str = ""
+
+    def __repr__(self) -> str:
+        return f"CatalogSpace({self.name})"
 
     def contains(self, x: Point) -> bool:
         return self.domain_predicate(x)
@@ -172,7 +146,7 @@ EX31 = CatalogSpace(
     evaluator=lambda x, y: 1 + max(x, y),
     domain_predicate=lambda x: _is_rational(x) and 0 < x < 1,
     declared_rho_p=F(1),
-    declared_bottom=BottomDecl.empty(),
+    declared_bottom=BottomDecl.finite(()),
     sampler=_ex31_sampler,
     canonical_sample=(F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4)),
     description="(0,1) with p(x,y) = 1 + max{x,y}; induced metric is |x-y|",
@@ -268,7 +242,7 @@ EX44 = CatalogSpace(
     evaluator=lambda x, y: max(x, y),
     domain_predicate=lambda x: _is_rational(x) and 0 < x <= 1,
     declared_rho_p=F(0),
-    declared_bottom=BottomDecl.empty(),
+    declared_bottom=BottomDecl.finite(()),
     sampler=_ex44_sampler,
     canonical_sample=(F(1, 10), F(1, 4), F(1, 2), F(3, 4), F(1)),
     description="(0,1] with p(x,y) = max{x,y}; one ball covers everything",
@@ -297,7 +271,7 @@ EX48 = CatalogSpace(
     evaluator=_ex48_eval,
     domain_predicate=lambda x: _is_rational(x) and x.denominator == 1 and x >= 0,
     declared_rho_p=F(1),
-    declared_bottom=BottomDecl.from_predicate(lambda _z: True, "every point"),
+    declared_bottom=BottomDecl.from_predicate(lambda _z: True),
     sampler=_ex48_sampler,
     canonical_sample=tuple(F(i) for i in range(8)),
     description="{0} + N with p(n,m) = 1 + 1/n + 1/m off the diagonal",
@@ -333,7 +307,7 @@ EX54 = CatalogSpace(
     evaluator=_ex54_eval,
     domain_predicate=lambda x: _is_rational(x) and (0 <= x <= 1 or 2 <= x <= 3),
     declared_rho_p=F(0),
-    declared_bottom=BottomDecl.from_predicate(lambda z: 0 <= z <= 1, "[0,1]"),
+    declared_bottom=BottomDecl.from_predicate(lambda z: 0 <= z <= 1),
     sampler=_ex54_sampler,
     canonical_sample=(F(0), F(1, 2), F(3, 4), F(1), F(2), F(9, 4), F(5, 2), F(3)),
     description="[0,1] + [2,3]; |x-y| on the lower block, max when the upper block is touched",
@@ -362,7 +336,7 @@ EX55 = CatalogSpace(
     evaluator=_ex55_eval,
     domain_predicate=lambda x: _is_rational(x) and 0 <= x <= 1,
     declared_rho_p=F(0),
-    declared_bottom=BottomDecl.from_predicate(lambda z: z > 0, "(0,1]"),
+    declared_bottom=BottomDecl.from_predicate(lambda z: z > 0),
     sampler=_ex55_sampler,
     canonical_sample=(F(0), F(1, 2), F(1, 3), F(1)),
     description="[0,1]; p = 0 only on the diagonal above 0, else 1",
@@ -388,7 +362,7 @@ EX56 = CatalogSpace(
     domain_predicate=lambda x: _is_rational(x)
     and (x == 0 or (x.numerator == 1 and x.denominator >= 2)),
     declared_rho_p=F(0),
-    declared_bottom=BottomDecl.empty(),
+    declared_bottom=BottomDecl.finite(()),
     sampler=_ex56_sampler,
     canonical_sample=(F(0), F(1, 2), F(1, 3), F(1, 4)),
     description="{1/q : q >= 2} + {0}; self-distances approach 0 without attaining it",
@@ -454,7 +428,7 @@ def apex_space(k: int = APEX_DEFAULT_SIZE) -> CatalogSpace:
         evaluator=_apex_eval,
         domain_predicate=lambda x: x in points,
         declared_rho_p=F(0),
-        declared_bottom=BottomDecl.finite(block, description="the discrete block X"),
+        declared_bottom=BottomDecl.finite(block),
         sampler=sampler,
         canonical_sample=points,
         description=f"apex over a {k}-point discrete block; p(.,a) = 2, discrete inside",

@@ -41,6 +41,7 @@ from .core import FinitePMSpace, check_axioms, separation_class
 from .errors import PMError, StructureError
 from .facts import run_fact_suite
 from .fixedpoint import (
+    DEFAULT_ALPHA,
     DEFAULT_ALPHA_GRID,
     DEFAULT_BUDGET,
     check_condition_max,
@@ -51,11 +52,9 @@ from .fixedpoint import (
     iterate,
     least_factor,
 )
-from .points import (Point, format_point, parse_point_ids, parse_rational, read_json,
-                     resolve_point, to_json)
+from .points import (format_point, parse_point_ids, parse_rational, read_json, resolve_point,
+                     to_json)
 from .properties import property_run
-
-Space = Union[FinitePMSpace, CatalogSpace]
 
 
 def _emit(doc: dict, text_lines: list[str], as_json: bool) -> None:
@@ -68,7 +67,7 @@ def _emit(doc: dict, text_lines: list[str], as_json: bool) -> None:
             print(line)
 
 
-def _resolve_space(arg: str) -> tuple[Optional[CatalogEntry], Space]:
+def _resolve_space(arg: str) -> tuple[Optional[CatalogEntry], Union[FinitePMSpace, CatalogSpace]]:
     if arg in catalog_names():
         entry = get_entry(arg)
         return entry, entry.space
@@ -76,15 +75,6 @@ def _resolve_space(arg: str) -> tuple[Optional[CatalogEntry], Space]:
     if not path.exists():
         raise StructureError(f"{arg!r} is neither a catalog id nor a file")
     return None, FinitePMSpace.from_json(path.read_text())
-
-
-def _finite(space: Space) -> FinitePMSpace:
-    return space if isinstance(space, FinitePMSpace) else space.finite_sample()
-
-
-def _points(space: Space) -> tuple[Point, ...]:
-    """The points that command-line ids are matched against."""
-    return space.points if isinstance(space, FinitePMSpace) else space.canonical_sample
 
 
 def _resolve_sequence(arg: str, horizon: Optional[int]) -> tuple[SequenceSpec, int]:
@@ -117,7 +107,7 @@ def _resolve_sequence(arg: str, horizon: Optional[int]) -> tuple[SequenceSpec, i
 
 def _cmd_axioms(args) -> int:
     _, space = _resolve_space(args.space)
-    report = check_axioms(_finite(space))
+    report = check_axioms(space.finite_sample())
     lines = [f"axioms: {report.verdict}"]
     if not report.ok:
         lines.append(f"violated {report.violated_axiom} at "
@@ -130,7 +120,6 @@ def _cmd_axioms(args) -> int:
 def _cmd_analyze(args) -> int:
     _, space = _resolve_space(args.space)
     seq, horizon = _resolve_sequence(args.seq, args.horizon)
-    seq.effective_horizon(horizon)  # rejects a horizon below 1, for periodic specs too
     tol = parse_rational(args.tol) if args.tol else DEFAULT_TOL
     if args.mode == "cauchy":
         rep = is_cauchy(space, seq, tol=tol, horizon=horizon)
@@ -140,7 +129,7 @@ def _cmd_analyze(args) -> int:
         return 0 if ok else 1
     if not args.target:
         raise StructureError("plain/proper analysis needs --target")
-    target = resolve_point(_points(space), args.target)
+    target = resolve_point(space.canonical_sample, args.target)
     fn = properly_converges if args.mode == "proper" else converges_to
     rep = fn(space, seq, target, tol=tol, horizon=horizon)
     lines = [f"convergence to {format_point(target)}: {rep.mode}"]
@@ -152,7 +141,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_topology(args) -> int:
     _, space = _resolve_space(args.space)
-    finite = _finite(space)
+    finite = space.finite_sample()
     if args.probe == "separation":
         sep = separation_class(finite)
         _emit(sep.to_dict(), [f"t0={sep.t0} t1={sep.t1} hausdorff={sep.hausdorff}"], args.json)
@@ -196,28 +185,43 @@ def _alpha_grid(args) -> Sequence[Fraction]:
             if args.alpha_grid else DEFAULT_ALPHA_GRID)
 
 
-def _alpha(args) -> Fraction:
-    return parse_rational(args.alpha)
-
-
-# --cond -> (checker, its parameter for `check`, its parameter for `enumerate`).
-# Enumeration under the max-condition checks the least --alpha-grid factor.
+# --cond -> (checker, the parameter flag `check` reads, the one `enumerate` reads).
 CONDITIONS = {
-    "contraction": (check_contraction, _alpha, _alpha),
-    "max": (check_condition_max, _alpha, lambda args: least_factor(_alpha_grid(args))),
-    "min": (check_condition_min, lambda args: args.k, lambda args: args.k),
+    "contraction": (check_contraction, "--alpha", "--alpha"),
+    "max": (check_condition_max, "--alpha", "--alpha-grid"),
+    "min": (check_condition_min, "--k", "--k"),
 }
+
+# Parameter flag -> its value; enumeration under the max-condition checks
+# the least --alpha-grid factor.
+PARAMETERS = {
+    "--alpha": lambda args: DEFAULT_ALPHA if args.alpha is None else parse_rational(args.alpha),
+    "--alpha-grid": lambda args: least_factor(_alpha_grid(args)),
+    "--k": lambda args: args.k,
+}
+
+
+def _refuse_unread_factor(args, reads: Optional[str]) -> None:
+    """Exit 2 on an --alpha or --alpha-grid that the action would ignore."""
+    action = f"fixedpoint {args.action}"
+    if args.action in ("check", "enumerate"):
+        action += f" --cond {args.cond}"
+    for flag, value in (("--alpha", args.alpha), ("--alpha-grid", args.alpha_grid)):
+        if value is not None and flag != reads:
+            raise StructureError(f"{action} reads {reads or 'no factor flag'}, not {flag}")
 
 
 def _cmd_fixedpoint(args) -> int:
     entry, space = _resolve_space(args.space)
-    check, check_param, enumerate_param = CONDITIONS[args.cond]
+    check, on_check, on_enumerate = CONDITIONS[args.cond]
+    reads = {"check": on_check, "enumerate": on_enumerate, "bottom": "--alpha-grid"}
+    _refuse_unread_factor(args, reads.get(args.action))
     if args.action in ("check", "iterate"):
         if not args.map:
             raise StructureError(f"fixedpoint {args.action} needs --map")
-        T = catalog_map(args.map, _points(space))
+        T = catalog_map(args.map, space.canonical_sample)
     if args.action == "check":
-        rep = check(space, T, check_param(args))
+        rep = check(space, T, PARAMETERS[on_check](args))
         lines = [f"{rep.condition}: {rep.verdict} over {rep.pairs_checked} {rep.scope} pairs"]
         if rep.violation:
             v = rep.violation
@@ -228,7 +232,7 @@ def _cmd_fixedpoint(args) -> int:
     if args.action == "iterate":
         if not args.start:
             raise StructureError("fixedpoint iterate needs --from")
-        x0 = resolve_point(_points(space), args.start)
+        x0 = resolve_point(space.canonical_sample, args.start)
         tol = parse_rational(args.tol) if args.tol else DEFAULT_TOL
         known = entry.known_fixed_points if entry else ()
         tr = iterate(space, T, x0, tol=tol, budget=args.budget, known_fixed_points=known)
@@ -239,9 +243,9 @@ def _cmd_fixedpoint(args) -> int:
             lines.append(f"settled pairwise value near {tr.cauchy_value}")
         _emit(tr.to_dict(), lines, args.json)
         return 0 if tr.ok else 1
-    finite = _finite(space)
+    finite = space.finite_sample()
     if args.action == "enumerate":
-        survivors = exhaustive_condition_maps(finite, check, enumerate_param(args))
+        survivors = exhaustive_condition_maps(finite, check, PARAMETERS[on_enumerate](args))
         lines = [f"{len(survivors)} surviving maps"] + [T.name for T in survivors]
         _emit({"count": len(survivors), "maps": [T.name for T in survivors]}, lines, args.json)
         return 0
@@ -323,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--space", required=True)
     fp.add_argument("--map")
     fp.add_argument("--cond", choices=tuple(CONDITIONS), default="max")
-    fp.add_argument("--alpha", default="1/2")
+    fp.add_argument("--alpha")
     fp.add_argument("--alpha-grid", dest="alpha_grid")
     fp.add_argument("--k", type=int, default=1)
     fp.add_argument("--from", dest="start")

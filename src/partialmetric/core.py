@@ -11,6 +11,10 @@ The four defining axioms, checked exhaustively here, are
 
 All distances are ``fractions.Fraction``; no verdict in this module ever
 depends on floating point.
+
+A table answers the members a catalog space declares (``canonical_sample``,
+``finite_sample()``, ``declared_rho_p``, ``declared_bottom``, ``scope``) from
+its own table, so no caller asks which kind of space it holds.
 """
 
 from __future__ import annotations
@@ -20,11 +24,30 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import kernels
-from .errors import DomainError, StructureError
+from .errors import DomainError, MetadataError, StructureError
 from .points import (Point, Record, format_point, parse_point_ids, parse_rational, read_json,
                      to_json)
 
 AXIOM_NAMES = {1: "P1", 2: "P2", 3: "P3", 4: "P4"}
+
+
+@dataclass(frozen=True)
+class BottomDecl:
+    """A bottom set: its finite ``members`` (possibly none), or ``None`` and a predicate."""
+
+    members: Optional[tuple[Point, ...]]
+    predicate: Optional[Callable[[Point], bool]] = None
+
+    @classmethod
+    def finite(cls, members: Sequence[Point]) -> "BottomDecl":
+        return cls(tuple(members))
+
+    @classmethod
+    def from_predicate(cls, pred: Callable[[Point], bool]) -> "BottomDecl":
+        return cls(None, pred)
+
+    def contains(self, z: Point) -> bool:
+        return z in self.members if self.members is not None else self.predicate(z)
 
 
 class FinitePMSpace:
@@ -38,6 +61,7 @@ class FinitePMSpace:
     """
 
     __slots__ = ("points", "matrix", "_index")
+    scope = "exhaustive"  # pair verdicts cover every pair of the table
 
     def __init__(self, points: Sequence[Point], matrix: Sequence[Sequence[Fraction | int]]):
         pts = tuple(points)
@@ -83,6 +107,21 @@ class FinitePMSpace:
     def p(self, x: Point, y: Point) -> Fraction:
         return self.matrix[self.index(x)][self.index(y)]
 
+    @property
+    def canonical_sample(self) -> tuple[Point, ...]:
+        return self.points
+
+    def finite_sample(self) -> "FinitePMSpace":
+        return self
+
+    @property
+    def declared_rho_p(self) -> Fraction:
+        return min(self.matrix[i][i] for i in range(len(self)))
+
+    @property
+    def declared_bottom(self) -> BottomDecl:
+        return BottomDecl.finite(bottom_set(self))
+
     @classmethod
     def from_function(cls, points: Iterable[Point], dist: Callable[[Point, Point], Fraction]) -> "FinitePMSpace":
         pts = tuple(points)
@@ -114,11 +153,7 @@ class FinitePMSpace:
         points = parse_point_ids([str(s) for s in ids])
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise StructureError("'p' must be a list of rows, each a list")
-        try:
-            matrix = [[parse_rational(str(v)) for v in row] for row in rows]
-        except ValueError as exc:
-            raise StructureError(str(exc)) from exc
-        return cls(points, matrix)
+        return cls(points, [[str(v) for v in row] for row in rows])
 
     @classmethod
     def from_json(cls, text: str) -> "FinitePMSpace":
@@ -165,7 +200,7 @@ def check_axioms(space: FinitePMSpace) -> AxiomReport:
     return AxiomReport("fail", AXIOM_NAMES[hit.code], witness, values)
 
 
-# Any object with an exact pairwise distance p(x, y) works for the derived
+# Any space with an exact pairwise distance p(x, y) works for the derived
 # metrics: finite tables here, formula-backed catalog spaces elsewhere.
 def p_m(space, x: Point, y: Point) -> Fraction:
     """Induced metric 2 p(x,y) - p(x,x) - p(y,y); always a true metric."""
@@ -178,15 +213,11 @@ def d_metric(space, x: Point, y: Point) -> Fraction:
 
 
 def rho_of(space) -> Fraction:
-    """Infimum of self-distances: computed for finite tables, declared otherwise."""
-    if isinstance(space, FinitePMSpace):
-        return min(space.matrix[i][i] for i in range(len(space)))
-    declared = getattr(space, "declared_rho_p", None)
-    if declared is None:
-        from .errors import MetadataError
-
-        raise MetadataError(f"space {space!r} declares no self-distance infimum")
-    return declared
+    """Infimum of self-distances: a table's least diagonal entry, a catalog space's declaration."""
+    rho = space.declared_rho_p
+    if rho is None:
+        raise MetadataError(f"{space!r} declares no self-distance infimum")
+    return rho
 
 
 def p_bar(space, x: Point, y: Point) -> Fraction:
@@ -200,19 +231,14 @@ def bottom_set(space: FinitePMSpace) -> tuple[Point, ...]:
     return tuple(p for i, p in enumerate(space.points) if space.matrix[i][i] == rho)
 
 
-def ball(space, center: Point, eps: Fraction):
-    """Open ball {y : p(center,y) < p(center,center) + eps}.
-
-    Materialized as a frozenset for finite tables; a membership predicate
-    for formula-backed spaces.
-    """
+def ball(space: FinitePMSpace, center: Point, eps: Fraction) -> frozenset:
+    """Open ball {y : p(center,y) < p(center,center) + eps} of a finite table."""
     if eps <= 0:
         raise ValueError("ball radius must be positive")
-    bound = space.p(center, center) + eps
-    if isinstance(space, FinitePMSpace):
-        i = space.index(center)
-        return frozenset(p for j, p in enumerate(space.points) if space.matrix[i][j] < bound)
-    return lambda y: space.p(center, y) < bound
+    i = space.index(center)
+    row = space.matrix[i]
+    bound = row[i] + eps
+    return frozenset(p for j, p in enumerate(space.points) if row[j] < bound)
 
 
 def diameter(space: FinitePMSpace) -> Fraction:

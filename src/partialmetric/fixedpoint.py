@@ -11,7 +11,10 @@ enumeration on tiny spaces takes a checker and its parameter. A grid of
 max-condition factors is decided by its ``least_factor`` alone.
 
 Verdicts are exhaustive on finite tables and sample-relative on
-formula-backed spaces; reports say which. Iteration never claims a fixed
+formula-backed spaces; each space names its own ``scope`` and the
+reports repeat it. Both kinds answer the same members (pairs from
+``canonical_sample``, ``declared_rho_p``, ``declared_bottom``), so no
+function here asks which kind it holds. Iteration never claims a fixed
 point it has not either hit exactly or matched, exactly, against a known
 candidate whose trace certificate is within tolerance.
 """
@@ -23,13 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .analysis import DEFAULT_TOL
-from .catalog import CatalogSpace, MapSpec
+from .analysis import DEFAULT_TOL, check_tolerance
+from .catalog import MapSpec
 from .core import FinitePMSpace, bottom_set, rho_of
 from .errors import DomainError, MapClosureError, MetadataError, SizeLimitError
 from .points import Point, Record, format_point, to_json
 
 DEFAULT_BUDGET = 10_000
+DEFAULT_ALPHA = Fraction(1, 2)
 DEFAULT_ALPHA_GRID = (Fraction(0), Fraction(1, 2), Fraction(3, 4))
 
 # Consecutive settled steps required before an iteration is certified.
@@ -83,13 +87,8 @@ def _apply_in(space, T: MapSpec, x: Point) -> Point:
 def _pairs_and_scope(space, pairs):
     if pairs is not None:
         return list(pairs), "explicit"
-    if isinstance(space, FinitePMSpace):
-        pts = space.points
-        return [(pts[i], pts[j]) for i in range(len(pts)) for j in range(i, len(pts))], "exhaustive"
-    if isinstance(space, CatalogSpace):
-        pts = space.canonical_sample
-        return [(pts[i], pts[j]) for i in range(len(pts)) for j in range(i, len(pts))], "sample"
-    raise TypeError(f"unsupported space type {type(space)!r}")
+    pts = space.canonical_sample
+    return [(pts[i], pts[j]) for i in range(len(pts)) for j in range(i, len(pts))], space.scope
 
 
 def _check_pairwise(space, condition, params, lhs_rhs, pairs) -> ConditionReport:
@@ -174,8 +173,7 @@ def iterate(space, T: MapSpec, x0: Point, tol: Fraction = DEFAULT_TOL,
     settled trace is upgraded to a fixed point only by matching a known
     candidate z with T(z) = z exactly and trace distances within tol.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    _check_run(tol, budget)
     if not space.contains(x0):
         raise DomainError(f"start {format_point(x0)} is not in the space")
     xs = [x0]
@@ -233,17 +231,10 @@ class BottomSolveReport(Record):
         return self.status in ("fixed_point", "certified")
 
 
-def _bottom_oracle(space):
-    """(membership test, finite member list or None, sample members)."""
-    if isinstance(space, FinitePMSpace):
-        members = tuple(bottom_set(space))
-        return (lambda z: z in members), members, members
-    decl = space.declared_bottom
-    if decl.is_empty():
-        raise MetadataError(f"{space.name} declares an empty bottom set")
-    sample_members = tuple(z for z in space.canonical_sample if decl.contains(z))
-    finite = decl.members if decl.kind == "finite" else None
-    return decl.contains, finite, sample_members
+def _check_run(tol: Fraction, budget: int) -> None:
+    check_tolerance(tol)
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
 
 
 def solve_on_bottom(space, T: MapSpec, alpha: Fraction, x0: Point,
@@ -253,21 +244,25 @@ def solve_on_bottom(space, T: MapSpec, alpha: Fraction, x0: Point,
 
     Verifies the max-condition on the standard pair set and that T maps
     the (sampled) bottom set into the bottom set; any escape triggers a
-    search for the condition violation it implies. On finite tables the
-    fixed points inside the bottom set are enumerated exhaustively, which
-    settles uniqueness.
+    search for the condition violation it implies. When the bottom set
+    lists its members (always on a finite table) the fixed points inside
+    it are enumerated exhaustively, which settles uniqueness.
     """
-    in_bottom, finite_members, sample_members = _bottom_oracle(space)
-    if not in_bottom(x0):
+    _check_run(tol, budget)
+    bottom = space.declared_bottom
+    if bottom.members == ():
+        raise MetadataError(f"{space!r} declares an empty bottom set")
+    if not bottom.contains(x0):
         raise ValueError(f"start {format_point(x0)} is not in the bottom set")
     pre = check_condition_max(space, T, alpha)
     if not pre.ok:
         return BottomSolveReport("condition_violated", None, None, 0, pre,
                                  None, None, None, None)
+    sample_members = tuple(z for z in space.canonical_sample if bottom.contains(z))
     closure_pool = tuple(dict.fromkeys(sample_members + (x0,)))
     for z in closure_pool:
         image = _apply_in(space, T, z)
-        if not in_bottom(image):
+        if not bottom.contains(image):
             violation = None
             probe = check_condition_max(space, T, alpha,
                                         pairs=[(z, y) for y in closure_pool])
@@ -279,8 +274,8 @@ def solve_on_bottom(space, T: MapSpec, alpha: Fraction, x0: Point,
     fixed_in_bottom: Optional[tuple[Point, ...]] = None
     unique: Optional[bool] = None
     candidates = list(known_fixed_points)
-    if finite_members is not None:
-        fixed_in_bottom = tuple(z for z in finite_members if T.apply(z) == z)
+    if bottom.members is not None:
+        fixed_in_bottom = tuple(z for z in bottom.members if T.apply(z) == z)
         unique = len(fixed_in_bottom) <= 1
         candidates = list(fixed_in_bottom) + candidates
 
@@ -336,16 +331,14 @@ def constant_map_bottom(space: FinitePMSpace,
     return tuple(survivors)
 
 
-def constant_map_ruled_out(space: CatalogSpace, z: Point) -> bool:
+def constant_map_ruled_out(space, z: Point) -> bool:
     """Constant map at z cannot satisfy the max-condition on the full space.
 
     By the constant-map characterization of the bottom set this happens
-    exactly when z's self-distance exceeds the declared infimum; sample
-    pair scans can miss it when the infimum is not attained.
+    exactly when z's self-distance exceeds the infimum (:func:`rho_of`);
+    sample pair scans can miss it when the infimum is not attained.
     """
-    if space.declared_rho_p is None:
-        raise MetadataError(f"{space.name} declares no self-distance infimum")
-    return space.p(z, z) > space.declared_rho_p
+    return space.p(z, z) > rho_of(space)
 
 
 def exhaustive_condition_maps(space: FinitePMSpace, check: Callable[..., ConditionReport],

@@ -140,6 +140,30 @@ class TestIsCauchy:
         assert abs(rep.a - 1) <= F(1, 25)
 
 
+class TestParameterChecks:
+    """Each analyzer refuses a bad horizon or tolerance itself, periodic specs included."""
+
+    @pytest.mark.parametrize("seq, target", [("ex3.2.alt", FSet(ABC, 0)),
+                                             ("ex4.8.naturals", F(0))])
+    @pytest.mark.parametrize("horizon", [0, -5])
+    def test_horizon_below_one_is_refused(self, seq, target, horizon):
+        sp, spec = catalog_space(seq.rsplit(".", 1)[0]), catalog_sequence(seq)
+        for analyze in (converges_to, properly_converges):
+            with pytest.raises(ValueError, match="horizon"):
+                analyze(sp, spec, target, horizon=horizon)
+        with pytest.raises(ValueError, match="horizon"):
+            is_cauchy(sp, spec, horizon=horizon)
+        with pytest.raises(ValueError, match="horizon"):
+            seq_compact_witness(sp.finite_sample(), spec, horizon=horizon)
+
+    def test_negative_tolerance_is_refused_on_a_cycle(self):
+        sp, spec = catalog_space("ex3.2"), catalog_sequence("ex3.2.alt")
+        with pytest.raises(ValueError, match="tolerance"):
+            seq_compact_witness(sp.finite_sample(), spec, tol=F(-1))
+        with pytest.raises(ValueError, match="tolerance"):
+            is_cauchy(sp, spec, tol=F(-1))
+
+
 class TestLimitSet:
     def test_ex56_every_cycle_converges_to_zero(self):
         trunc = catalog_space("ex5.6").finite_sample()

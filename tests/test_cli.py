@@ -100,8 +100,9 @@ class TestAnalyze:
     @pytest.mark.parametrize("seq", ["ex4.8.naturals", "ex3.2.alt"])
     def test_horizon_zero_exits_two(self, capsys, seq):
         space = seq.rsplit(".", 1)[0]
+        target = {"ex3.2": "{}"}.get(space, "0/1")  # a point of the space, so the analyzer runs
         code, _, err = run(capsys, "analyze", "seq", "--space", space, "--seq", seq,
-                           "--target", "0/1", "--horizon", "0")
+                           "--target", target, "--horizon", "0")
         assert code == 2 and "horizon" in err
 
     @pytest.mark.parametrize("doc", [5, {"explicit": 5}, {"generator": "ex4.8.naturals",
@@ -182,6 +183,29 @@ class TestFixedpoint:
     def test_bottom(self, capsys):
         code, out, _ = run(capsys, "fixedpoint", "bottom", "--space", "ex5.5")
         assert code == 0 and "1/2" in out and "0/1" not in out
+
+    @pytest.mark.parametrize("argv, reads", [
+        (["bottom", "--space", "ex5.5", "--alpha", "5"], "--alpha-grid"),
+        (["enumerate", "--space", "ex5.8", "--cond", "max", "--alpha", "3/4"], "--alpha-grid"),
+        (["enumerate", "--space", "ex5.8", "--cond", "contraction", "--alpha-grid", "1/2"],
+         "--alpha"),
+        (["enumerate", "--space", "ex5.8", "--cond", "min", "--alpha", "1/2"], "--k"),
+        (["check", "--space", "ex5.8", "--map", "const.a", "--alpha-grid", "9/10"], "--alpha"),
+        (["check", "--space", "ex5.8", "--map", "const.a", "--cond", "min", "--alpha", "1/2"],
+         "--k"),
+        (["iterate", "--space", "ex5.4", "--map", "ex5.4.T", "--from", "0/1", "--alpha", "1/2"],
+         "no factor flag"),
+    ])
+    def test_unread_factor_flag_exits_two(self, capsys, argv, reads):
+        code, out, err = run(capsys, "fixedpoint", *argv)
+        assert code == 2 and out == "" and f"reads {reads}, not --" in err
+
+    def test_negative_iteration_tolerance_exits_two_at_once(self, capsys):
+        start = time.monotonic()
+        code, _, err = run(capsys, "fixedpoint", "iterate", "--space", "ex5.4", "--map",
+                           "ex5.4.T", "--from", "0/1", "--tol=-1/2")
+        assert code == 2 and "tolerance" in err
+        assert time.monotonic() - start < 1
 
 
 # Every fixed-point action's --json output, byte for byte, with its exit code and

@@ -120,6 +120,19 @@ class TestMinCondition:
             check_condition_min(sp, MapSpec.constant("a"), 0)
 
 
+class TestRunParameters:
+    @pytest.mark.parametrize("run", [
+        lambda **kw: iterate(catalog_space("ex5.4"), catalog_map("ex5.4.T"), F(0), **kw),
+        lambda **kw: solve_on_bottom(catalog_space("ex5.4"), catalog_map("ex5.4.T"), F(1, 2),
+                                     F(0), **kw),
+    ], ids=["iterate", "solve_on_bottom"])
+    def test_negative_tol_and_empty_budget_are_refused(self, run):
+        with pytest.raises(ValueError, match="tolerance"):
+            run(tol=F(-1, 2))
+        with pytest.raises(ValueError, match="budget"):
+            run(budget=0)
+
+
 class TestIterate:
     def test_ex34_reaches_fixed_point_in_three_steps(self):
         sp = catalog_space("ex3.4")
@@ -187,7 +200,7 @@ def _escape_space():
         evaluator=ev,
         domain_predicate=lambda x: x in (F(0), F(1), F(2)),
         declared_rho_p=F(0),
-        declared_bottom=BottomDecl.from_predicate(lambda z: ev(z, z) == 0, "zero self-distance"),
+        declared_bottom=BottomDecl.from_predicate(lambda z: ev(z, z) == 0),
         sampler=lambda seed, count: [F(0)] * count,
         canonical_sample=(F(0),),
     )

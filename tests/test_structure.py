@@ -1,0 +1,39 @@
+"""Structure of the package: one space interface, no switch on a class or a kind tag."""
+
+import ast
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from partialmetric import BottomDecl, SequenceSpec
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "partialmetric"
+SPACE_CLASSES = {"FinitePMSpace", "CatalogSpace"}
+
+
+def _class_names(node):
+    """Names a class argument of ``isinstance`` refers to, tuples included."""
+    if isinstance(node, ast.Tuple):
+        return {name for elt in node.elts for name in _class_names(elt)}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    return set()
+
+
+def test_no_module_switches_on_a_space_class():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and _class_names(node.args[1]) & SPACE_CLASSES):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+@pytest.mark.parametrize("cls", [SequenceSpec, BottomDecl])
+def test_no_kind_tag(cls):
+    assert "kind" not in {f.name for f in dataclasses.fields(cls)}
