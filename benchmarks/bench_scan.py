@@ -3,8 +3,9 @@
 The axiom scan is cubic in the point count. Tables are built from the
 Lipschitz construction (d(x,y) + f(x) + f(y)) / 2, which is valid by
 construction, so every timing run exercises the full P1-P4 sweep
-without finding a violation (the worst case). The integer scans are
-timed on numerators flattened beforehand, so flattening is not counted.
+without finding a violation (the worst case). The scans are timed on the
+integer tables a space stores (``space.num``) and derives
+(``p_m_matrix``), so building them is not counted.
 
 Each size has three rows: the axiom scan and the `p_m` metric scan on a
 table over twelfths, and the axiom scan on a wide table whose values
@@ -45,11 +46,11 @@ def build_space(n: int, seed: int = 0, wide: bool = False) -> FinitePMSpace:
     return FinitePMSpace([F(i) for i in range(n)], matrix)
 
 
-def time_scan(scan, num, n: int, label: str, repeats: int) -> float:
+def time_scan(scan, table, label: str, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        result = scan(num, n)
+        result = scan(table)
         best = min(best, time.perf_counter() - start)
         if result is not None:
             raise RuntimeError(f"{label} scan found {result} in a table valid by construction")
@@ -68,14 +69,13 @@ def main() -> None:
     print("-" * len(header))
     for n in sizes:
         space = build_space(n)
-        rows = [("axioms", kernels.axiom_scan_flat, space.matrix),
-                ("p_m metric", kernels.metric_scan_flat, p_m_matrix(space))]
+        rows = [("axioms", kernels.axiom_scan, space.num),
+                ("p_m metric", kernels.metric_scan, p_m_matrix(space))]
         if n >= len(WIDE_DENOMINATORS):
-            rows.append(("axioms wide", kernels.axiom_scan_flat, build_space(n, wide=True).matrix))
-        for label, scan, matrix in rows:
-            flat = kernels.flatten_numerators(matrix)
-            bits = max(abs(v) for v in flat).bit_length()
-            best = time_scan(scan, flat, n, label, args.repeats)
+            rows.append(("axioms wide", kernels.axiom_scan, build_space(n, wide=True).num))
+        for label, scan, table in rows:
+            bits = max(abs(v) for row in table for v in row).bit_length()
+            best = time_scan(scan, table, label, args.repeats)
             print(f"{n:>5} {label:>12} {bits:>5} {best * 1e3:>10.2f}")
 
 

@@ -295,7 +295,7 @@ def specialization_order(space: FinitePMSpace) -> SpecializationOrder:
     report = check_axioms(space)
     if not report.ok:
         raise AxiomFailureError(f"space violates {report.violated_axiom}")
-    m, n = space.matrix, len(space)
+    m, n = space.num, len(space)
     dom = tuple(tuple(m[i][j] == m[i][i] for j in range(n)) for i in range(n))
     for i in range(n):
         if not dom[i][i]:
@@ -311,9 +311,9 @@ def specialization_order(space: FinitePMSpace) -> SpecializationOrder:
 
 def _least_gap(space: FinitePMSpace) -> Optional[Fraction]:
     """Smallest positive p(x,y) - p(x,x) over the table, or None when there is none."""
-    m, n = space.matrix, len(space)
+    m, n = space.num, len(space)
     gaps = [m[i][j] - m[i][i] for i in range(n) for j in range(n) if m[i][j] > m[i][i]]
-    return min(gaps) if gaps else None
+    return Fraction(min(gaps), space.den) if gaps else None
 
 
 def maximal_points(space: FinitePMSpace) -> frozenset:
@@ -356,14 +356,13 @@ def gdelta_diagonal(space: FinitePMSpace) -> GDeltaReport:
     intersection equals the set at n0 = ceil(1/g), which is the only one
     evaluated. Cost: O(n^3), whatever the table values.
     """
-    m, n = space.matrix, len(space)
+    m, n = space.num, len(space)
     t1 = separation_class(space).t1
     gap = _least_gap(space)
     n0 = max(1, math.ceil(1 / gap)) if gap is not None else 1
-    eps = Fraction(1, n0)
     members = set()
     for c in range(n):
-        inside = [i for i in range(n) if m[c][i] - m[c][c] < eps]
+        inside = [i for i in range(n) if (m[c][i] - m[c][c]) * n0 < space.den]  # gap < 1/n0
         members.update((i, j) for i in inside for j in inside)
     diagonal = {(i, i) for i in range(n)}
     return GDeltaReport(t1, n0, members == diagonal)

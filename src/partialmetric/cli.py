@@ -96,12 +96,11 @@ def _resolve_sequence(arg: str, horizon: Optional[int]) -> tuple[SequenceSpec, i
         return SequenceSpec.explicit(parse_point_ids([str(s) for s in ids])), eff_horizon
     if "generator" in doc:
         seq = catalog_sequence(str(doc["generator"]))
-        if horizon is not None:
-            return seq, horizon
-        try:
-            return seq, int(doc.get("horizon", DEFAULT_HORIZON))
-        except (TypeError, OverflowError) as exc:
-            raise StructureError(f"bad sequence horizon: {exc}") from exc
+        file_horizon = doc.get("horizon", DEFAULT_HORIZON)
+        if type(file_horizon) is not int:  # a JSON integer; bool is an int subclass
+            raise StructureError("sequence horizon must be an integer, not "
+                                 + type(file_horizon).__name__)
+        return seq, file_horizon if horizon is None else horizon
     raise StructureError("sequence JSON needs 'explicit' or 'generator'")
 
 
@@ -197,25 +196,29 @@ CONDITIONS = {
 PARAMETERS = {
     "--alpha": lambda args: DEFAULT_ALPHA if args.alpha is None else parse_rational(args.alpha),
     "--alpha-grid": lambda args: least_factor(_alpha_grid(args)),
-    "--k": lambda args: args.k,
+    "--k": lambda args: 1 if args.k is None else args.k,
 }
 
 
-def _refuse_unread_factor(args, reads: Optional[str]) -> None:
-    """Exit 2 on an --alpha or --alpha-grid that the action would ignore."""
+def _refuse_unread_factor(args, cond: str, reads: Optional[str]) -> None:
+    """Exit 2 on a factor flag, or a --cond, that the action would ignore."""
     action = f"fixedpoint {args.action}"
     if args.action in ("check", "enumerate"):
-        action += f" --cond {args.cond}"
-    for flag, value in (("--alpha", args.alpha), ("--alpha-grid", args.alpha_grid)):
+        action += f" --cond {cond}"
+    for flag, value in (("--alpha", args.alpha), ("--alpha-grid", args.alpha_grid),
+                        ("--k", args.k)):
         if value is not None and flag != reads:
             raise StructureError(f"{action} reads {reads or 'no factor flag'}, not {flag}")
+    if args.cond is not None and args.action not in ("check", "enumerate"):
+        raise StructureError(f"{action} reads no condition, not --cond")
 
 
 def _cmd_fixedpoint(args) -> int:
     entry, space = _resolve_space(args.space)
-    check, on_check, on_enumerate = CONDITIONS[args.cond]
+    cond = args.cond or "max"
+    check, on_check, on_enumerate = CONDITIONS[cond]
     reads = {"check": on_check, "enumerate": on_enumerate, "bottom": "--alpha-grid"}
-    _refuse_unread_factor(args, reads.get(args.action))
+    _refuse_unread_factor(args, cond, reads.get(args.action))
     if args.action in ("check", "iterate"):
         if not args.map:
             raise StructureError(f"fixedpoint {args.action} needs --map")
@@ -326,10 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("action", choices=("check", "iterate", "enumerate", "bottom"))
     fp.add_argument("--space", required=True)
     fp.add_argument("--map")
-    fp.add_argument("--cond", choices=tuple(CONDITIONS), default="max")
+    fp.add_argument("--cond", choices=tuple(CONDITIONS), default=None)
     fp.add_argument("--alpha")
     fp.add_argument("--alpha-grid", dest="alpha_grid")
-    fp.add_argument("--k", type=int, default=1)
+    fp.add_argument("--k", type=int, default=None)
     fp.add_argument("--from", dest="start")
     fp.add_argument("--tol")
     fp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)

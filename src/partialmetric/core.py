@@ -9,8 +9,9 @@ The four defining axioms, checked exhaustively here, are
     P3  p(x,y) = p(y,x)
     P4  p(x,y) <= p(x,z) + p(z,y) - p(z,z)
 
-All distances are ``fractions.Fraction``; no verdict in this module ever
-depends on floating point.
+A table is stored once, as integer numerators over one denominator; the
+scans, derived metrics and probes compare those integers, and only a
+reported value is a ``fractions.Fraction``. No verdict uses floats.
 
 A table answers the members a catalog space declares (``canonical_sample``,
 ``finite_sample()``, ``declared_rho_p``, ``declared_bottom``, ``scope``) from
@@ -19,8 +20,10 @@ its own table, so no caller asks which kind of space it holds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import kernels
@@ -55,12 +58,12 @@ class FinitePMSpace:
 
     The constructor enforces only structural validity (square table of
     nonnegative rationals over distinct points; a text entry is read as
-    by :func:`points.parse_rational`); the axioms themselves
-    are the business of :func:`check_axioms`, so that broken tables can
-    be loaded and diagnosed.
+    by :func:`points.parse_rational`) and stores rows ``num`` of integer
+    numerators over ``den``, the lcm of the reduced denominators; the
+    axioms themselves are the business of :func:`check_axioms`, so that
+    broken tables can be loaded and diagnosed.
     """
 
-    __slots__ = ("points", "matrix", "_index")
     scope = "exhaustive"  # pair verdicts cover every pair of the table
 
     def __init__(self, points: Sequence[Point], matrix: Sequence[Sequence[Fraction | int]]):
@@ -86,7 +89,9 @@ class FinitePMSpace:
                 raise StructureError("distances must be nonnegative")
             rows.append(entries)
         self.points: tuple[Point, ...] = pts
-        self.matrix: tuple[tuple[Fraction, ...], ...] = tuple(rows)
+        self.den = den = math.lcm(*{q.denominator for row in rows for q in row})
+        self.num: tuple[tuple[int, ...], ...] = tuple(
+            tuple(q.numerator * (den // q.denominator) for q in row) for row in rows)
         self._index = {p: i for i, p in enumerate(pts)}
 
     def __len__(self) -> int:
@@ -104,6 +109,11 @@ class FinitePMSpace:
         except KeyError:
             raise DomainError(f"point {format_point(x)} is not in the space") from None
 
+    @cached_property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The table as ``Fraction``s, built on first use."""
+        return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.num)
+
     def p(self, x: Point, y: Point) -> Fraction:
         return self.matrix[self.index(x)][self.index(y)]
 
@@ -116,7 +126,7 @@ class FinitePMSpace:
 
     @property
     def declared_rho_p(self) -> Fraction:
-        return min(self.matrix[i][i] for i in range(len(self)))
+        return Fraction(min(row[i] for i, row in enumerate(self.num)), self.den)
 
     @property
     def declared_bottom(self) -> BottomDecl:
@@ -180,23 +190,16 @@ def check_axioms(space: FinitePMSpace) -> AxiomReport:
     The scan is axiom-major and lexicographic in point indices, so the
     first violation is deterministic and reproducible.
     """
-    hit = kernels.axiom_scan(space.matrix)
+    hit = kernels.axiom_scan(space.num)
     if hit is None:
         return AxiomReport("pass", None, (), {})
-    m, pts = space.matrix, space.points
-    i, j, k = hit.i, hit.j, hit.k
-    if hit.code == 1:
-        witness = (pts[i], pts[j])
-        values = {"p(x,x)": m[i][i], "p(x,y)": m[i][j], "p(y,y)": m[j][j]}
-    elif hit.code == 2:
-        witness = (pts[i], pts[j])
-        values = {"p(x,x)": m[i][i], "p(y,x)": m[j][i]}
-    elif hit.code == 3:
-        witness = (pts[i], pts[j])
-        values = {"p(x,y)": m[i][j], "p(y,x)": m[j][i]}
-    else:
-        witness = (pts[i], pts[j], pts[k])
-        values = {"p(x,y)": m[i][j], "p(x,z)": m[i][k], "p(z,y)": m[k][j], "p(z,z)": m[k][k]}
+    _, i, j, k = hit
+    cells = {1: {"p(x,x)": (i, i), "p(x,y)": (i, j), "p(y,y)": (j, j)},
+             2: {"p(x,x)": (i, i), "p(y,x)": (j, i)},
+             3: {"p(x,y)": (i, j), "p(y,x)": (j, i)},
+             4: {"p(x,y)": (i, j), "p(x,z)": (i, k), "p(z,y)": (k, j), "p(z,z)": (k, k)}}
+    witness = tuple(space.points[t] for t in ((i, j) if k < 0 else (i, j, k)))
+    values = {key: Fraction(space.num[a][b], space.den) for key, (a, b) in cells[hit.code].items()}
     return AxiomReport("fail", AXIOM_NAMES[hit.code], witness, values)
 
 
@@ -227,8 +230,9 @@ def p_bar(space, x: Point, y: Point) -> Fraction:
 
 def bottom_set(space: FinitePMSpace) -> tuple[Point, ...]:
     """Points whose self-distance attains the minimum; never empty here."""
-    rho = rho_of(space)
-    return tuple(p for i, p in enumerate(space.points) if space.matrix[i][i] == rho)
+    m = space.num
+    rho = min(row[i] for i, row in enumerate(m))
+    return tuple(p for i, p in enumerate(space.points) if m[i][i] == rho)
 
 
 def ball(space: FinitePMSpace, center: Point, eps: Fraction) -> frozenset:
@@ -236,13 +240,13 @@ def ball(space: FinitePMSpace, center: Point, eps: Fraction) -> frozenset:
     if eps <= 0:
         raise ValueError("ball radius must be positive")
     i = space.index(center)
-    row = space.matrix[i]
-    bound = row[i] + eps
+    row = space.num[i]
+    bound = row[i] + math.ceil(eps * space.den)  # an integer is below r iff below ceil(r)
     return frozenset(p for j, p in enumerate(space.points) if row[j] < bound)
 
 
 def diameter(space: FinitePMSpace) -> Fraction:
-    return max(v for row in space.matrix for v in row)
+    return Fraction(max(map(max, space.num)), space.den)
 
 
 @dataclass(frozen=True)
@@ -261,7 +265,7 @@ def separation_class(space: FinitePMSpace) -> SeparationClass:
     p(x,y) - p(x,x), and balls shrink with eps, so two points can be
     separated iff their minimal balls {y : p(x,y) = p(x,x)} are disjoint.
     """
-    m, n = space.matrix, len(space)
+    m, n = space.num, len(space)
     t0 = all(
         not (m[i][i] == m[i][j] == m[j][j])
         for i in range(n)
@@ -280,17 +284,18 @@ def separation_class(space: FinitePMSpace) -> SeparationClass:
     return SeparationClass(t0, t1, hausdorff)
 
 
-def p_m_matrix(space: FinitePMSpace) -> list[list[Fraction]]:
-    pts = space.points
-    return [[p_m(space, x, y) for y in pts] for x in pts]
+def p_m_matrix(space: FinitePMSpace) -> list[list[int]]:
+    m, n = space.num, len(space)
+    return [[2 * m[i][j] - m[i][i] - m[j][j] for j in range(n)] for i in range(n)]
 
 
-def d_matrix(space: FinitePMSpace) -> list[list[Fraction]]:
-    pts = space.points
-    return [[d_metric(space, x, y) for y in pts] for x in pts]
+def d_matrix(space: FinitePMSpace) -> list[list[int]]:
+    m, n = space.num, len(space)
+    return [[0 if i == j else m[i][j] for j in range(n)] for i in range(n)]
 
 
-def p_bar_matrix(space: FinitePMSpace, restrict: Optional[Iterable[Point]] = None) -> list[list[Fraction]]:
-    pts = tuple(restrict) if restrict is not None else space.points
-    rho = rho_of(space)
-    return [[space.p(x, y) - rho for y in pts] for x in pts]
+def p_bar_matrix(space: FinitePMSpace, restrict: Optional[Iterable[Point]] = None) -> list[list[int]]:
+    m = space.num
+    idx = range(len(m)) if restrict is None else [space.index(x) for x in restrict]
+    rho = min(row[i] for i, row in enumerate(m))
+    return [[m[i][j] - rho for j in idx] for i in idx]

@@ -82,7 +82,7 @@ def check_space_properties(space: FinitePMSpace) -> list[str]:
     except RuntimeError as exc:
         problems.append(f"specialization order: {exc}")
         return problems
-    m, n = space.matrix, len(space)
+    m, n = space.num, len(space)
     for i in range(n):
         for j in range(n):
             if i != j and order.matrix[i][j] and not (m[i][j] == m[i][i] > m[j][j]):

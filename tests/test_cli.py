@@ -106,7 +106,9 @@ class TestAnalyze:
         assert code == 2 and "horizon" in err
 
     @pytest.mark.parametrize("doc", [5, {"explicit": 5}, {"generator": "ex4.8.naturals",
-                                                          "horizon": [1]}])
+                                                          "horizon": [1]},
+                                     {"generator": "ex4.8.naturals", "horizon": 64.9},
+                                     {"generator": "ex4.8.naturals", "horizon": True}])
     def test_malformed_sequence_file_exits_two(self, capsys, tmp_path, doc):
         seq = tmp_path / "seq.json"
         seq.write_text(json.dumps(doc))
@@ -195,6 +197,13 @@ class TestFixedpoint:
          "--k"),
         (["iterate", "--space", "ex5.4", "--map", "ex5.4.T", "--from", "0/1", "--alpha", "1/2"],
          "no factor flag"),
+        (["bottom", "--space", "ex5.5", "--k", "3"], "--alpha-grid"),
+        (["iterate", "--space", "ex5.4", "--map", "ex5.4.T", "--from", "0/1", "--cond", "min",
+          "--k", "7"], "no factor flag"),
+        (["check", "--space", "ex5.4", "--map", "ex5.4.T", "--k", "2"], "--alpha"),
+        (["bottom", "--space", "ex5.5", "--cond", "max"], "no condition"),
+        (["iterate", "--space", "ex5.4", "--map", "ex5.4.T", "--from", "0/1", "--cond", "min"],
+         "no condition"),
     ])
     def test_unread_factor_flag_exits_two(self, capsys, argv, reads):
         code, out, err = run(capsys, "fixedpoint", *argv)

@@ -122,10 +122,14 @@ def _prefixes():
     for probe in ("separation", "gdelta", "order", "maximal", "cover", "net"):
         yield st.builds(lambda sp, p=probe: ["topology", p, "--space", sp], spaces)
     for action in ("check", "iterate", "enumerate", "bottom"):
-        yield st.builds(lambda sp, m, x, b, k, a=action: ["fixedpoint", a, "--space", sp,
-                                                         "--map", m, "--from", x,
-                                                         "--budget", b, "--k", k],
-                        spaces, FLAG_VALUES["--map"], FLAG_VALUES["--from"], ints, small_ints)
+        yield st.builds(lambda sp, m, x, b, a=action: ["fixedpoint", a, "--space", sp,
+                                                      "--map", m, "--from", x, "--budget", b],
+                        spaces, FLAG_VALUES["--map"], FLAG_VALUES["--from"], ints)
+    # Only the min-condition reads --k; any other action refuses it.
+    for action in ("check", "enumerate"):
+        yield st.builds(lambda sp, m, k, a=action: ["fixedpoint", a, "--space", sp, "--map", m,
+                                                   "--cond", "min", "--k", k],
+                        spaces, FLAG_VALUES["--map"], small_ints)
     for action in ("list", "export", "verify"):
         yield st.builds(lambda name, a=action: ["catalog", a] + name,
                         st.sampled_from(([],) + tuple([s] for s in SPACE_IDS)))
