@@ -138,7 +138,56 @@ def _cmd_analyze(args) -> int:
     return 0 if rep.ok else 1
 
 
+# The optional flags of `pm topology` and `pm fixedpoint`: where argparse puts
+# each, and what kind of input it is. The three factor flags share a kind.
+FLAGS = {
+    "--alpha": ("alpha", "factor flag"),
+    "--alpha-grid": ("alpha_grid", "factor flag"),
+    "--k": ("k", "factor flag"),
+    "--cond": ("cond", "condition"),
+    "--map": ("map", "map"),
+    "--from": ("start", "start point"),
+    "--tol": ("tol", "tolerance"),
+    "--budget": ("budget", "budget"),
+    "--centers": ("centers", "centers"),
+    "--eps": ("eps", "radius"),
+    "--restrict": ("restrict", "restriction"),
+}
+
+# Action -> the optional flags it reads. `fixedpoint check` and `enumerate`
+# also read the factor flag that CONDITIONS gives for their --cond.
+READS = {
+    "topology separation": (),
+    "topology gdelta": (),
+    "topology order": (),
+    "topology maximal": (),
+    "topology cover": ("--centers", "--eps"),
+    "topology net": ("--eps", "--restrict"),
+    "fixedpoint check": ("--map", "--cond"),
+    "fixedpoint iterate": ("--map", "--from", "--tol", "--budget"),
+    "fixedpoint enumerate": ("--cond",),
+    "fixedpoint bottom": ("--alpha-grid",),
+}
+
+
+def _refuse_unread(args, action: str, reads: tuple[str, ...]) -> None:
+    """Exit 2 on a flag that the action would ignore, naming the flags it reads."""
+    for flag, (dest, kind) in FLAGS.items():
+        if getattr(args, dest, None) is not None and flag not in reads:
+            alike = ", ".join(f for f in reads if FLAGS[f][1] == kind) or f"no {kind}"
+            raise StructureError(f"{action} reads {alike}, not {flag} "
+                                 f"(it reads {', '.join(reads) or 'no option'})")
+
+
+DEFAULT_EPS = Fraction(1, 2)  # the radius of `topology cover` and `net`
+
+
+def _eps(args) -> Fraction:
+    return DEFAULT_EPS if args.eps is None else parse_rational(args.eps)
+
+
 def _cmd_topology(args) -> int:
+    _refuse_unread(args, f"topology {args.probe}", READS[f"topology {args.probe}"])
     _, space = _resolve_space(args.space)
     finite = space.finite_sample()
     if args.probe == "separation":
@@ -165,7 +214,7 @@ def _cmd_topology(args) -> int:
     if args.probe == "cover":
         centers = ([resolve_point(finite.points, s) for s in args.centers.split(",")]
                    if args.centers else [])
-        rep = ball_cover_check(finite, centers, parse_rational(args.eps))
+        rep = ball_cover_check(finite, centers, _eps(args))
         lines = [f"covers: {rep.covers}" + ("" if rep.covers else f" uncovered={format_point(rep.uncovered)}")]
         _emit(rep.to_dict(), lines, args.json)
         return 0 if rep.covers else 1
@@ -173,7 +222,7 @@ def _cmd_topology(args) -> int:
     if args.restrict:
         target = finite.restrict([resolve_point(finite.points, s)
                                   for s in args.restrict.split(",")])
-    net = totally_bounded_at(target, parse_rational(args.eps))
+    net = totally_bounded_at(target, _eps(args))
     lines = [f"net size {net.size}: " + ", ".join(format_point(p) for p in net.centers)]
     _emit(net.to_dict(), lines, args.json)
     return 0
@@ -200,25 +249,15 @@ PARAMETERS = {
 }
 
 
-def _refuse_unread_factor(args, cond: str, reads: Optional[str]) -> None:
-    """Exit 2 on a factor flag, or a --cond, that the action would ignore."""
-    action = f"fixedpoint {args.action}"
-    if args.action in ("check", "enumerate"):
-        action += f" --cond {cond}"
-    for flag, value in (("--alpha", args.alpha), ("--alpha-grid", args.alpha_grid),
-                        ("--k", args.k)):
-        if value is not None and flag != reads:
-            raise StructureError(f"{action} reads {reads or 'no factor flag'}, not {flag}")
-    if args.cond is not None and args.action not in ("check", "enumerate"):
-        raise StructureError(f"{action} reads no condition, not --cond")
-
-
 def _cmd_fixedpoint(args) -> int:
-    entry, space = _resolve_space(args.space)
     cond = args.cond or "max"
     check, on_check, on_enumerate = CONDITIONS[cond]
-    reads = {"check": on_check, "enumerate": on_enumerate, "bottom": "--alpha-grid"}
-    _refuse_unread_factor(args, cond, reads.get(args.action))
+    action, reads = f"fixedpoint {args.action}", READS[f"fixedpoint {args.action}"]
+    if args.action in ("check", "enumerate"):
+        action += f" --cond {cond}"
+        reads += (on_check if args.action == "check" else on_enumerate,)
+    _refuse_unread(args, action, reads)
+    entry, space = _resolve_space(args.space)
     if args.action in ("check", "iterate"):
         if not args.map:
             raise StructureError(f"fixedpoint {args.action} needs --map")
@@ -238,7 +277,8 @@ def _cmd_fixedpoint(args) -> int:
         x0 = resolve_point(space.canonical_sample, args.start)
         tol = parse_rational(args.tol) if args.tol else DEFAULT_TOL
         known = entry.known_fixed_points if entry else ()
-        tr = iterate(space, T, x0, tol=tol, budget=args.budget, known_fixed_points=known)
+        budget = DEFAULT_BUDGET if args.budget is None else args.budget
+        tr = iterate(space, T, x0, tol=tol, budget=budget, known_fixed_points=known)
         lines = [f"outcome: {tr.outcome} after {tr.steps} steps"]
         if tr.fixed_point is not None:
             lines.append(f"fixed point {format_point(tr.fixed_point)}")
@@ -320,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "cover", "net"))
     topo.add_argument("--space", required=True)
     topo.add_argument("--centers")
-    topo.add_argument("--eps", default="1/2")
+    topo.add_argument("--eps")
     topo.add_argument("--restrict")
     topo.add_argument("--json", action="store_true")
     topo.set_defaults(fn=_cmd_topology)
@@ -329,13 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("action", choices=("check", "iterate", "enumerate", "bottom"))
     fp.add_argument("--space", required=True)
     fp.add_argument("--map")
-    fp.add_argument("--cond", choices=tuple(CONDITIONS), default=None)
+    fp.add_argument("--cond", choices=tuple(CONDITIONS))
     fp.add_argument("--alpha")
     fp.add_argument("--alpha-grid", dest="alpha_grid")
-    fp.add_argument("--k", type=int, default=None)
+    fp.add_argument("--k", type=int)
     fp.add_argument("--from", dest="start")
     fp.add_argument("--tol")
-    fp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    fp.add_argument("--budget", type=int)
     fp.add_argument("--json", action="store_true")
     fp.set_defaults(fn=_cmd_fixedpoint)
 

@@ -24,14 +24,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import kernels
 from .errors import DomainError, MetadataError, StructureError
-from .points import (Point, Record, format_point, parse_point_ids, parse_rational, read_json,
-                     to_json)
+from .points import Point, Record, format_point, parse_point_ids, read_json, read_ratio, to_json
 
 AXIOM_NAMES = {1: "P1", 2: "P2", 3: "P3", 4: "P4"}
+
+
+def _ratio(q: Fraction) -> tuple[int, int]:
+    return q.numerator, q.denominator
 
 
 @dataclass(frozen=True)
@@ -53,45 +57,74 @@ class BottomDecl:
         return z in self.members if self.members is not None else self.predicate(z)
 
 
+# The common denominator of a table's entries as written may have at most
+# this many bits. A scaled numerator is at most this much wider than its
+# entry, so the cap bounds the work per cell of the constructor and the
+# scans; without it n^2 distinct denominators could make every cell n^2
+# times as wide as one entry.
+MAX_DEN_BITS = 1024
+
+
 class FinitePMSpace:
     """A finite space given by an explicit rational distance table.
 
     The constructor enforces only structural validity (square table of
-    nonnegative rationals over distinct points; a text entry is read as
-    by :func:`points.parse_rational`) and stores rows ``num`` of integer
-    numerators over ``den``, the lcm of the reduced denominators; the
-    axioms themselves are the business of :func:`check_axioms`, so that
-    broken tables can be loaded and diagnosed.
+    nonnegative rationals over distinct points) and stores rows ``num``
+    of integer numerators over ``den``, the lcm of the reduced
+    denominators; the axioms themselves are the business of
+    :func:`check_axioms`, so that broken tables can be loaded and
+    diagnosed.
+
+    Each entry is read as a pair of ints: text by :func:`points.read_ratio`,
+    a ``Fraction`` as its numerator and denominator, anything else through
+    ``Fraction(v)``; no ``Fraction`` is built for text. The pairs are
+    brought over L, the lcm of their denominators as written, and then
+    divided by g = gcd(L, all numerators), so ``den`` = L/g is the least
+    denominator that makes every entry an integer. A table whose L passes
+    ``2**MAX_DEN_BITS`` is refused before any numerator is scaled.
     """
 
     scope = "exhaustive"  # pair verdicts cover every pair of the table
 
     def __init__(self, points: Sequence[Point], matrix: Sequence[Sequence[Fraction | int]]):
         pts = tuple(points)
+        n = len(pts)
         if not pts:
             raise StructureError("a space needs at least one point")
-        if len(set(pts)) != len(pts):
+        if len(set(pts)) != n:
             raise StructureError("duplicate points in space")
-        if len(matrix) != len(pts):
-            raise StructureError(f"table has {len(matrix)} rows for {len(pts)} points")
-        rows = []
+        if len(matrix) != n:
+            raise StructureError(f"table has {len(matrix)} rows for {n} points")
+        rows, dens = [], set()
         for row in matrix:
-            if len(row) != len(pts):
+            if len(row) != n:
                 raise StructureError("table is not square")
             try:
-                # Text goes through the one rational reader, which refuses exponents.
-                entries = tuple(v if type(v) is Fraction
-                                else parse_rational(v) if isinstance(v, str) else Fraction(v)
-                                for v in row)
+                nums, row_dens = zip(*[read_ratio(v) if isinstance(v, str)
+                                       else _ratio(v if type(v) is Fraction else Fraction(v))
+                                       for v in row])
             except ValueError as exc:
                 raise StructureError(str(exc)) from exc
-            if any(v < 0 for v in entries):
+            if min(nums) < 0:
                 raise StructureError("distances must be nonnegative")
-            rows.append(entries)
+            rows.append((nums, row_dens))
+            dens.update(row_dens)
+        den = 1
+        for d in dens:
+            den = math.lcm(den, d)
+            if den.bit_length() > MAX_DEN_BITS:
+                raise StructureError(f"the common denominator of the entries as written "
+                                     f"has more than {MAX_DEN_BITS} bits")
+        scale = {d: den // d for d in dens}
+        num = tuple(tuple(map(mul, nums, map(scale.__getitem__, row_dens)))
+                    for nums, row_dens in rows)
+        g = math.gcd(den, *(math.gcd(*row) for row in num))
+        if g > 1:  # some entry was written unreduced
+            den //= g
+            num = tuple(tuple(v // g for v in row) for row in num)
         self.points: tuple[Point, ...] = pts
-        self.den = den = math.lcm(*{q.denominator for row in rows for q in row})
-        self.num: tuple[tuple[int, ...], ...] = tuple(
-            tuple(q.numerator * (den // q.denominator) for q in row) for row in rows)
+        self.den = den
+        self.num: tuple[tuple[int, ...], ...] = num
         self._index = {p: i for i, p in enumerate(pts)}
 
     def __len__(self) -> int:

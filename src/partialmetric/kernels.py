@@ -54,23 +54,27 @@ def axiom_scan(m: Sequence[Sequence[int]]) -> Optional[Violation]:
     Codes: 1 distinct points share self/cross/self values, 2 a
     self-distance exceeds a cross distance, 3 asymmetry, 4 the sharpened
     triangle inequality fails. k is -1 for the pair axioms.
+
+    Each pair axiom first tests a whole row or column with one C-level
+    call (``count``, ``min``, ``!=``) and walks pair by pair only a line
+    that test flags, in order, so the witness is the canonical first one.
     """
     n = len(m)
-    for i in range(n):
-        ii = m[i][i]
-        for j in range(n):
-            if i != j and ii == m[i][j] == m[j][j]:
-                return Violation(1, i, j, -1)
-    for i in range(n):
-        ii = m[i][i]
-        for j in range(n):
-            if i != j and ii > m[j][i]:
-                return Violation(2, i, j, -1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
-                return Violation(3, i, j, -1)
-    return _triangle_scan(m)
+    diag = [m[i][i] for i in range(n)]
+    for i, row in enumerate(m):
+        ii = diag[i]
+        if row.count(ii) > 1 and diag.count(ii) > 1:
+            for j in range(n):
+                if i != j and ii == row[j] == diag[j]:
+                    return Violation(1, i, j, -1)
+    cols = list(zip(*m))
+    for i, col in enumerate(cols):
+        ii = diag[i]
+        if min(col) < ii:
+            for j in range(n):
+                if ii > col[j]:  # col[i] is ii itself, so j != i here
+                    return Violation(2, i, j, -1)
+    return _asymmetry(m, cols) or _triangle_scan(m)
 
 
 def metric_scan(m: Sequence[Sequence[int]]) -> Optional[Violation]:
@@ -83,16 +87,29 @@ def metric_scan(m: Sequence[Sequence[int]]) -> Optional[Violation]:
     for i in range(n):
         if m[i][i] != 0:
             return Violation(1, i, i, -1)
-    for i in range(n):
-        for j in range(n):
-            if i != j and m[i][j] <= 0:
-                return Violation(2, i, j, -1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
-                return Violation(3, i, j, -1)
+    for i, row in enumerate(m):
+        if min(row) < 0 or row.count(0) > 1:  # row[i] is the one zero allowed
+            for j in range(n):
+                if i != j and row[j] <= 0:
+                    return Violation(2, i, j, -1)
     # The diagonal is zero here, so the metric triangle is the sharpened one.
-    return _triangle_scan(m)
+    return _asymmetry(m, list(zip(*m))) or _triangle_scan(m)
+
+
+def _asymmetry(m, cols):
+    """First (3, i, j, -1), i < j, with p(i,j) != p(j,i), or None.
+
+    The first row i that differs from column i differs from it at some
+    j > i: a difference at j < i alone would have flagged row j first.
+    """
+    n = len(m)
+    for i, col in enumerate(cols):
+        row = m[i]
+        if tuple(row) != col:
+            for j in range(i + 1, n):
+                if row[j] != col[j]:
+                    return Violation(3, i, j, -1)
+    return None
 
 
 def _triangle_scan(m):

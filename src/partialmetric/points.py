@@ -8,12 +8,17 @@ used in JSON tables and on the command line.
 
 This module is the only one that knows the text form of exact values:
 it reads rationals, point ids and JSON documents, and writes every
-report's JSON through :func:`to_json`.
+report's JSON through :func:`to_json`. Rational text is read by one
+regular expression, ``Fraction``'s own grammar less digit separators and
+exponents, straight into a pair of ints (:func:`read_ratio`). A table's
+constructor brings such pairs to one denominator, and
+:func:`parse_rational` makes a ``Fraction`` of one pair.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence, Union
@@ -55,21 +60,46 @@ class FSet:
 Point = Union[Fraction, str, FSet]
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse an integer, "num/den" or decimal string into an exact rational.
+# Fraction's own string grammar (Python 3.11) without digit separators and
+# exponents: a sign, then an integer, "num/den" or a decimal, with optional
+# whitespace around the whole. Unicode decimal digits count, as in int().
+_RATIO = re.compile(r"\s*([-+]?)(?=\.?\d)(\d*)(?:/(\d+)|(?:\.(\d*))?)\s*")
 
-    Exponent notation is refused before ``Fraction`` sees it: it would
-    build ``10**exp`` first, so "1e99999999" alone takes minutes. Text
-    with a "/" cannot carry an exponent in ``Fraction``'s grammar, so the
-    common "num/den" form costs one scan for "/". Digit separators ("1_000")
-    are refused too, since ``Fraction`` accepts them only from Python 3.11 on.
+
+def read_ratio(text: str) -> tuple[int, int]:
+    """Read an integer, "num/den" or decimal string as a pair of ints.
+
+    The pair is (numerator, denominator) as written, not reduced; the
+    denominator is positive, and a decimal with k fractional digits is
+    read over 10**k. This is the only reader of rational text: exponent
+    notation is refused by the grammar (``Fraction`` would build
+    ``10**exp`` first, so "1e99999999" alone takes minutes), and so are
+    digit separators ("1_000"). An integer past Python's digit limit and
+    a zero denominator are refused too.
     """
-    if "_" in text or ("/" not in text and ("e" in text or "E" in text)):
+    match = _RATIO.fullmatch(text)
+    if match is None:
         raise ValueError(f"not a rational: {text!r}")
+    sign, whole, den, frac = match.groups()
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        num = int(whole) if whole else 0
+        if den is not None:
+            den = int(den)
+        elif frac:
+            den = 10 ** len(frac)
+            num = num * den + int(frac)
+        else:
+            den = 1
+    except ValueError as exc:  # past the digit limit
         raise ValueError(f"not a rational: {text!r}") from exc
+    if den == 0:
+        raise ValueError(f"not a rational: {text!r}")
+    return (-num if sign == "-" else num), den
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse an integer, "num/den" or decimal string into an exact rational."""
+    return Fraction(*read_ratio(text))
 
 
 def format_rational(value: Fraction) -> str:

@@ -9,6 +9,7 @@ import pytest
 
 from partialmetric import FinitePMSpace
 from partialmetric.cli import main
+from partialmetric.core import MAX_DEN_BITS
 from partialmetric.points import parse_point_ids, parse_rational, resolve_point
 
 F = Fraction
@@ -163,13 +164,15 @@ class TestFixedpoint:
 
     @pytest.mark.parametrize("action", ["check", "iterate"])
     def test_missing_map_exits_two(self, capsys, action):
-        code, _, err = run(capsys, "fixedpoint", action, "--space", "ex5.8", "--from", "a")
-        assert code == 2 and "--map" in err
+        start = ["--from", "a"] if action == "iterate" else []  # only iterate reads --from
+        code, _, err = run(capsys, "fixedpoint", action, "--space", "ex5.8", *start)
+        assert code == 2 and "needs --map" in err
 
     @pytest.mark.parametrize("action", ["check", "iterate"])
     def test_formula_map_on_other_point_kind_exits_two(self, capsys, action):
+        start = ["--from", "{}"] if action == "iterate" else []
         code, _, err = run(capsys, "fixedpoint", action, "--space", "ex3.2",
-                           "--map", "ex5.4.T", "--from", "{}")
+                           "--map", "ex5.4.T", *start)
         assert code == 2 and "not defined" in err
 
     def test_iterate_ex54(self, capsys):
@@ -186,28 +189,60 @@ class TestFixedpoint:
         code, out, _ = run(capsys, "fixedpoint", "bottom", "--space", "ex5.5")
         assert code == 0 and "1/2" in out and "0/1" not in out
 
+    # Each message names the flags of the refused flag's kind that the action
+    # reads, or "no <kind>"; the topology probes are refused the same way.
     @pytest.mark.parametrize("argv, reads", [
-        (["bottom", "--space", "ex5.5", "--alpha", "5"], "--alpha-grid"),
-        (["enumerate", "--space", "ex5.8", "--cond", "max", "--alpha", "3/4"], "--alpha-grid"),
-        (["enumerate", "--space", "ex5.8", "--cond", "contraction", "--alpha-grid", "1/2"],
-         "--alpha"),
-        (["enumerate", "--space", "ex5.8", "--cond", "min", "--alpha", "1/2"], "--k"),
-        (["check", "--space", "ex5.8", "--map", "const.a", "--alpha-grid", "9/10"], "--alpha"),
-        (["check", "--space", "ex5.8", "--map", "const.a", "--cond", "min", "--alpha", "1/2"],
+        (["fixedpoint", "bottom", "--space", "ex5.5", "--alpha", "5"], "--alpha-grid"),
+        (["fixedpoint", "enumerate", "--space", "ex5.8", "--cond", "max", "--alpha", "3/4"],
+         "--alpha-grid"),
+        (["fixedpoint", "enumerate", "--space", "ex5.8", "--cond", "contraction",
+          "--alpha-grid", "1/2"], "--alpha"),
+        (["fixedpoint", "enumerate", "--space", "ex5.8", "--cond", "min", "--alpha", "1/2"],
          "--k"),
-        (["iterate", "--space", "ex5.4", "--map", "ex5.4.T", "--from", "0/1", "--alpha", "1/2"],
-         "no factor flag"),
-        (["bottom", "--space", "ex5.5", "--k", "3"], "--alpha-grid"),
-        (["iterate", "--space", "ex5.4", "--map", "ex5.4.T", "--from", "0/1", "--cond", "min",
-          "--k", "7"], "no factor flag"),
-        (["check", "--space", "ex5.4", "--map", "ex5.4.T", "--k", "2"], "--alpha"),
-        (["bottom", "--space", "ex5.5", "--cond", "max"], "no condition"),
-        (["iterate", "--space", "ex5.4", "--map", "ex5.4.T", "--from", "0/1", "--cond", "min"],
-         "no condition"),
+        (["fixedpoint", "check", "--space", "ex5.8", "--map", "const.a", "--alpha-grid", "9/10"],
+         "--alpha"),
+        (["fixedpoint", "check", "--space", "ex5.8", "--map", "const.a", "--cond", "min",
+          "--alpha", "1/2"], "--k"),
+        (["fixedpoint", "iterate", "--space", "ex5.4", "--map", "ex5.4.T", "--from", "0/1",
+          "--alpha", "1/2"], "no factor flag"),
+        (["fixedpoint", "bottom", "--space", "ex5.5", "--k", "3"], "--alpha-grid"),
+        (["fixedpoint", "iterate", "--space", "ex5.4", "--map", "ex5.4.T", "--from", "0/1",
+          "--cond", "min", "--k", "7"], "no factor flag"),
+        (["fixedpoint", "check", "--space", "ex5.4", "--map", "ex5.4.T", "--k", "2"], "--alpha"),
+        (["fixedpoint", "bottom", "--space", "ex5.5", "--cond", "max"], "no condition"),
+        (["fixedpoint", "iterate", "--space", "ex5.4", "--map", "ex5.4.T", "--from", "0/1",
+          "--cond", "min"], "no condition"),
+        (["fixedpoint", "bottom", "--space", "ex5.5", "--map", "ex5.4.T", "--from", "7",
+          "--budget", "3", "--tol", "1/2"], "no map"),
+        (["fixedpoint", "enumerate", "--space", "ex5.8", "--from", "a"], "no start point"),
+        (["fixedpoint", "enumerate", "--space", "ex5.8", "--tol", "1/2"], "no tolerance"),
+        (["fixedpoint", "check", "--space", "ex5.4", "--map", "ex5.4.T", "--budget", "3"],
+         "no budget"),
+        (["topology", "separation", "--space", "ex5.6", "--eps", "1/3", "--centers", "a",
+          "--restrict", "b"], "no centers"),
+        (["topology", "maximal", "--space", "ex5.6", "--eps", "1/3"], "no radius"),
+        (["topology", "cover", "--space", "apex", "--centers", "x1", "--restrict", "x1"],
+         "no restriction"),
+        (["topology", "net", "--space", "apex", "--centers", "x1"], "no centers"),
     ])
     def test_unread_factor_flag_exits_two(self, capsys, argv, reads):
-        code, out, err = run(capsys, "fixedpoint", *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and f"reads {reads}, not --" in err
+
+    @pytest.mark.parametrize("argv, reads", [
+        (["fixedpoint", "check", "--space", "ex5.4", "--map", "ex5.4.T", "--k", "2"],
+         "--map, --cond, --alpha"),
+        (["fixedpoint", "enumerate", "--space", "ex5.8", "--cond", "min", "--alpha", "1/2"],
+         "--cond, --k"),
+        (["fixedpoint", "iterate", "--space", "ex5.4", "--map", "ex5.4.T", "--from", "0/1",
+          "--alpha", "1/2"], "--map, --from, --tol, --budget"),
+        (["fixedpoint", "bottom", "--space", "ex5.5", "--map", "ex5.4.T"], "--alpha-grid"),
+        (["topology", "gdelta", "--space", "ex5.8", "--eps", "1/3"], "no option"),
+        (["topology", "net", "--space", "apex", "--centers", "x1"], "--eps, --restrict"),
+    ])
+    def test_refusal_names_every_flag_the_action_reads(self, capsys, argv, reads):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and f"(it reads {reads})" in err
 
     def test_negative_iteration_tolerance_exits_two_at_once(self, capsys):
         start = time.monotonic()
@@ -336,6 +371,17 @@ class TestBoundedInput:
                            "--restrict", "1e99999999")
         assert time.monotonic() - start < 1
         assert code == 0 and "net size 1: 1e99999999" in out
+
+    def test_wide_common_denominator_exits_two_at_once(self, capsys, tmp_path):
+        # 576 distinct 300-digit denominators: their lcm alone would pass 500k bits.
+        table = tmp_path / "wide.json"
+        table.write_text(json.dumps({"points": [str(i) for i in range(24)],
+                                     "p": [[f"{10**299 + 24 * i + j}/{10**299 + 24 * i + j + 1}"
+                                            for j in range(24)] for i in range(24)]}))
+        start = time.monotonic()
+        code, out, err = run(capsys, "axioms", "--space", str(table), "--json")
+        assert time.monotonic() - start < 1
+        assert code == 2 and out == "" and f"more than {MAX_DEN_BITS} bits" in err
 
     @pytest.mark.parametrize("argv", [
         ["axioms", "--space", "@deep"],

@@ -8,7 +8,10 @@ depth) are drawn small, and every command whose default workload is
 large gets a small value first, so one example stays well under a
 second. Exponent and digit-separator strings are among the rationals
 and point ids, and one file content is nested past the JSON decoder's
-depth limit; an example that takes 20 s or more fails.
+depth limit, and one holds an n = 24 table whose distinct 300-digit
+denominators pass the cap on the common denominator. Flags go mostly to
+the actions that read them, since any other is refused with exit 2. An
+example that takes 20 s or more fails.
 """
 
 import contextlib
@@ -70,8 +73,12 @@ documents = table_docs() | sequence_docs | any_json
 TABLE = "@table"  # replaced by the path of the fuzzed table file
 SEQ_FILE = "@seq"  # replaced by the path of the fuzzed sequence file
 DEEP_FILE = "@deep"  # replaced by the path of a file nested past the decoder's depth limit
+WIDE_FILE = "@wide"  # replaced by the path of a table with 576 distinct 300-digit denominators
+WIDE_TEXT = json.dumps({"points": [str(i) for i in range(24)],
+                        "p": [[f"{10**299 + 24 * i + j}/{10**299 + 24 * i + j + 1}"
+                               for j in range(24)] for i in range(24)]})
 
-spaces = st.sampled_from(SPACE_IDS + (TABLE, TABLE, SEQ_FILE, DEEP_FILE))
+spaces = st.sampled_from(SPACE_IDS + (TABLE, TABLE, SEQ_FILE, DEEP_FILE, WIDE_FILE))
 
 FLAG_VALUES = {
     "--space": spaces,
@@ -95,13 +102,18 @@ FLAG_VALUES = {
     "--seeds": seed_spans,
     "--max-n": small_ints,
 }
-# Flags and switches of each subcommand; a drawn argv mostly uses its own command's.
+# Flags and switches of each command or action that reads them; a drawn
+# argv mostly uses its own action's (else its command's).
 COMMAND_FLAGS = {
     "axioms": ("--space", "--json"),
     "analyze": ("--space", "--seq", "--target", "--mode", "--tol", "--horizon", "--json"),
-    "topology": ("--space", "--centers", "--eps", "--restrict", "--json"),
-    "fixedpoint": ("--space", "--map", "--cond", "--alpha", "--alpha-grid", "--k", "--from",
-                   "--tol", "--budget", "--json"),
+    "topology": ("--space", "--json"),
+    "topology cover": ("--space", "--centers", "--eps", "--json"),
+    "topology net": ("--space", "--eps", "--restrict", "--json"),
+    "fixedpoint check": ("--space", "--map", "--cond", "--alpha", "--json"),
+    "fixedpoint iterate": ("--space", "--map", "--from", "--tol", "--budget", "--json"),
+    "fixedpoint enumerate": ("--space", "--cond", "--alpha-grid", "--json"),
+    "fixedpoint bottom": ("--space", "--alpha-grid", "--json"),
     "catalog": ("--all", "--json"),
     "random": ("--seed", "-n", "--seeds", "--max-n", "--zero-f", "--json"),
 }
@@ -121,15 +133,19 @@ def _prefixes():
                     FLAG_VALUES["--target"], ints)
     for probe in ("separation", "gdelta", "order", "maximal", "cover", "net"):
         yield st.builds(lambda sp, p=probe: ["topology", p, "--space", sp], spaces)
-    for action in ("check", "iterate", "enumerate", "bottom"):
-        yield st.builds(lambda sp, m, x, b, a=action: ["fixedpoint", a, "--space", sp,
-                                                      "--map", m, "--from", x, "--budget", b],
-                        spaces, FLAG_VALUES["--map"], FLAG_VALUES["--from"], ints)
+    yield st.builds(lambda sp, m: ["fixedpoint", "check", "--space", sp, "--map", m],
+                    spaces, FLAG_VALUES["--map"])
+    yield st.builds(lambda sp, m, x, b: ["fixedpoint", "iterate", "--space", sp, "--map", m,
+                                         "--from", x, "--budget", b],
+                    spaces, FLAG_VALUES["--map"], FLAG_VALUES["--from"], ints)
+    for action in ("enumerate", "bottom"):
+        yield st.builds(lambda sp, a=action: ["fixedpoint", a, "--space", sp], spaces)
     # Only the min-condition reads --k; any other action refuses it.
-    for action in ("check", "enumerate"):
-        yield st.builds(lambda sp, m, k, a=action: ["fixedpoint", a, "--space", sp, "--map", m,
-                                                   "--cond", "min", "--k", k],
-                        spaces, FLAG_VALUES["--map"], small_ints)
+    yield st.builds(lambda sp, m, k: ["fixedpoint", "check", "--space", sp, "--map", m,
+                                      "--cond", "min", "--k", k],
+                    spaces, FLAG_VALUES["--map"], small_ints)
+    yield st.builds(lambda sp, k: ["fixedpoint", "enumerate", "--space", sp, "--cond", "min",
+                                   "--k", k], spaces, small_ints)
     for action in ("list", "export", "verify"):
         yield st.builds(lambda name, a=action: ["catalog", a] + name,
                         st.sampled_from(([],) + tuple([s] for s in SPACE_IDS)))
@@ -148,7 +164,8 @@ def _flag_pair(flag):
 def argvs(draw):
     """A prefix, flags of its own command, and at most one foreign flag or junk token."""
     argv = list(draw(st.one_of(*_prefixes())))
-    own = COMMAND_FLAGS.get(argv[0] if argv else "", ("--json",))
+    own = COMMAND_FLAGS.get(" ".join(argv[:2])) or COMMAND_FLAGS.get("".join(argv[:1]),
+                                                                      ("--json",))
     for group in draw(st.lists(st.sampled_from(own).flatmap(_flag_pair), max_size=4)):
         argv += group
     noise = st.sampled_from(sorted(FLAG_VALUES) + list(SWITCHES)).flatmap(
@@ -163,9 +180,10 @@ def argvs(draw):
 @given(argv=argvs(), table=documents, sequence=documents | sequence_docs)
 def test_fuzzed_argv_keeps_the_exit_contract(argv, table, sequence):
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {key: os.path.join(tmp, key[1:] + ".json") for key in (TABLE, SEQ_FILE, DEEP_FILE)}
-        for key, text in ((TABLE, json.dumps(table)), (SEQ_FILE, json.dumps(sequence)),
-                          (DEEP_FILE, "[" * 200_000)):
+        files = {TABLE: json.dumps(table), SEQ_FILE: json.dumps(sequence),
+                 DEEP_FILE: "[" * 200_000, WIDE_FILE: WIDE_TEXT}
+        paths = {key: os.path.join(tmp, key[1:] + ".json") for key in files}
+        for key, text in files.items():
             with open(paths[key], "w") as fh:
                 fh.write(text)
         argv = [paths.get(tok, tok) for tok in argv]

@@ -3,7 +3,10 @@
 The ``Fraction`` view ``matrix`` agrees with it entry by entry, the
 integer derived metrics are ``den`` times the pointwise ones that the
 fact suite uses, and no verdict or comparison-only probe builds the view.
-``benchmarks/bench_scan.py`` scans the same integer tables.
+Text is read by ``points.read_ratio``, which agrees with ``Fraction`` on
+its grammar less digit separators and exponents, and an unreduced entry
+still gives the least common denominator. ``benchmarks/bench_scan.py``
+scans the same integer tables.
 """
 
 import importlib.util
@@ -35,7 +38,9 @@ from partialmetric import (
     specialization_order,
     totally_bounded_at,
 )
-from partialmetric.core import ball, d_matrix, p_bar_matrix, p_m_matrix
+from partialmetric.core import MAX_DEN_BITS, ball, d_matrix, p_bar_matrix, p_m_matrix
+from partialmetric.errors import StructureError
+from partialmetric.points import parse_rational, read_ratio
 
 F = Fraction
 
@@ -142,6 +147,10 @@ def test_check_axioms_leaves_the_view_unbuilt():
     sp = _loaded(VALID)
     assert check_axioms(sp).ok
     assert "matrix" not in vars(sp)
+    sp = FinitePMSpace.from_json(json.dumps({"points": ["a", "b"],
+                                             "p": [["0.50", "3/2"], ["6/4", "2/6"]]}))
+    assert check_axioms(sp).ok and (sp.num, sp.den) == (((3, 9), (9, 2)), 6)
+    assert "matrix" not in vars(sp)
     for axiom, rows in BROKEN.items():
         sp = _loaded(rows)
         report = check_axioms(sp)
@@ -180,3 +189,58 @@ def test_bench_scan_main_runs_small(monkeypatch, capsys):
     assert [row[0] for row in rows] == ["8"] * 3
     assert [" ".join(row[1:-2]) for row in rows] == ["axioms", "p_m metric", "axioms wide"]
     assert int(rows[2][-2]) > 96  # the wide table's numerators pass 2^96
+
+
+# Text that Fraction's grammar touches: digits (ASCII, Arabic-Indic, fullwidth),
+# signs, "/", ".", exponent letters, "_", whitespace and "d"; either shaped as
+# [sign] digits [mark digits] with whitespace anywhere, or in any order.
+RATIO_PIECES = ("0", "1", "7", "12", "١", "１", "/", ".", "-", "+", "e", "E", "_", " ", "\t",
+                "\n", "\u00a0", "d")
+_space = st.sampled_from(("", "", " ", "\t", "\n", "\u00a0"))
+_digits = st.text(alphabet="0123456789١１", max_size=3)
+ratio_texts = (
+    st.tuples(_space, st.sampled_from(("", "-", "+")), _space, _digits, _space,
+              st.sampled_from(("", "/", ".", "e", "E", "_", "d", "/-", "e-")), _space, _digits,
+              _space).map("".join)
+    | st.lists(st.sampled_from(RATIO_PIECES), max_size=7).map("".join)
+    | st.text(alphabet="".join(RATIO_PIECES), max_size=10))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(ratio_texts)
+def test_read_ratio_reads_text_as_fraction_does(text):
+    if "_" in text or "e" in text or "E" in text:
+        # Digit separators and exponents are refused; Fraction is not asked,
+        # since "1e99999999" would keep it busy for minutes.
+        with pytest.raises(ValueError, match="not a rational"):
+            read_ratio(text)
+        return
+    try:
+        want = F(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError, match="not a rational"):
+            read_ratio(text)
+        return
+    num, den = read_ratio(text)
+    assert type(num) is int and type(den) is int and den > 0
+    assert F(num, den) == want == parse_rational(text)
+
+
+@pytest.mark.parametrize("entries, den", [
+    (("2/4", "0/7", "3/6", "0.50"), 2),
+    (("0/7", "0.0", "00/3", "0"), 1),
+    (("4/6", "1/9", "0.10", "10/15"), 90),
+    (("-0/5", "0.250", "6/8", "12/16"), 4),
+])
+def test_unreduced_text_gives_the_least_common_denominator(entries, den):
+    a, b, c, d = entries
+    sp = FinitePMSpace.from_json(json.dumps({"points": ["x", "y"], "p": [[a, b], [c, d]]}))
+    assert sp.den == den == math.lcm(*(F(v).denominator for v in entries))
+    assert [F(v, sp.den) for row in sp.num for v in row] == [F(v) for v in entries]
+
+
+def test_common_denominator_past_the_cap_is_refused():
+    top = F(1, 1 << (MAX_DEN_BITS - 1))  # a denominator of MAX_DEN_BITS bits
+    assert FinitePMSpace(["x", "y"], [[top, F(1, 2)], [1, 0]]).den.bit_length() == MAX_DEN_BITS
+    with pytest.raises(StructureError, match=f"more than {MAX_DEN_BITS} bits"):
+        FinitePMSpace(["x", "y"], [[top, F(1, 3)], [1, 0]])
