@@ -49,6 +49,7 @@ from .core import (
     check_axioms,
     d_metric,
     diameter,
+    minimal_balls,
     p_bar,
     p_m,
     rho_of,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import FinitePMSpace, ball, check_axioms, separation_class
+from .core import FinitePMSpace, ball, check_axioms, least_gap, minimal_balls, separation_class
 from .errors import AxiomFailureError, UnsupportedSequenceError
 from .points import Point, Record, to_json
 
@@ -287,57 +287,28 @@ class SpecializationOrder:
 
 
 def specialization_order(space: FinitePMSpace) -> SpecializationOrder:
-    """Compute the specialization relation; refuses axiom-violating tables.
+    """The relation of :func:`core.minimal_balls`; refuses axiom-violating tables.
 
-    On a valid space the relation is reflexive, transitive and
-    antisymmetric; those are rechecked defensively.
+    On a valid table p(x,x) <= p(y,x) = p(x,y), so the relation's
+    p(x,y) <= p(x,x) is p(x,y) = p(x,x). That it is then a partial order
+    is checked once, by the property suite. Cost: O(n^2) beyond the
+    O(n^3) axiom check.
     """
     report = check_axioms(space)
     if not report.ok:
         raise AxiomFailureError(f"space violates {report.violated_axiom}")
-    m, n = space.num, len(space)
-    dom = tuple(tuple(m[i][j] == m[i][i] for j in range(n)) for i in range(n))
-    for i in range(n):
-        if not dom[i][i]:
-            raise RuntimeError("specialization order lost reflexivity")
-        for j in range(n):
-            if i != j and dom[i][j] and dom[j][i]:
-                raise RuntimeError("specialization order lost antisymmetry")
-            for k in range(n):
-                if dom[i][j] and dom[j][k] and not dom[i][k]:
-                    raise RuntimeError("specialization order lost transitivity")
-    return SpecializationOrder(space.points, dom)
-
-
-def _least_gap(space: FinitePMSpace) -> Optional[Fraction]:
-    """Smallest positive p(x,y) - p(x,x) over the table, or None when there is none."""
-    m, n = space.num, len(space)
-    gaps = [m[i][j] - m[i][i] for i in range(n) for j in range(n) if m[i][j] > m[i][i]]
-    return Fraction(min(gaps), space.den) if gaps else None
+    return SpecializationOrder(space.points, minimal_balls(space))
 
 
 def maximal_points(space: FinitePMSpace) -> frozenset:
-    """Points with no proper dominator; their balls cover the space at every radius.
+    """Points with no proper dominator: the order's columns that mark only their own row.
 
-    The cover is rechecked at one radius: half the least positive gap, or
-    1 when there is none. Balls only grow with the radius, so a cover
-    there is a cover at every radius, and a failure at any radius implies
-    one there. Cost: O(n^3) for the order check, O(n^2) for the cover,
-    whatever the table values.
+    Their balls cover the space at every radius; the property suite
+    checks that cover. Cost: O(n^2) beyond the axiom check of
+    :func:`specialization_order`.
     """
-    order = specialization_order(space)
-    n = len(space)
-    maximal = [j for j in range(n)
-               if not any(i != j and order.matrix[i][j] for i in range(n))]
-    hats = frozenset(space.points[j] for j in maximal)
-    gap = _least_gap(space)
-    eps = gap / 2 if gap is not None else Fraction(1)
-    covered = set()
-    for j in maximal:
-        covered |= ball(space, space.points[j], eps)
-    if covered != set(space.points):
-        raise RuntimeError(f"maximal balls fail to cover at radius {eps}")
-    return hats
+    columns = zip(*specialization_order(space).matrix)
+    return frozenset(p for p, col in zip(space.points, columns) if sum(col) == 1)
 
 
 @dataclass(frozen=True)
@@ -353,19 +324,15 @@ def gdelta_diagonal(space: FinitePMSpace) -> GDeltaReport:
     Ball membership y in B(x, 1/n) only depends on whether
     p(x,y) - p(x,x) < 1/n, so once 1/n drops below the smallest positive
     gap g nothing changes; the sets shrink with n, hence the infinite
-    intersection equals the set at n0 = ceil(1/g), which is the only one
-    evaluated. Cost: O(n^3), whatever the table values.
+    intersection equals the set at n0 = ceil(1/g). There the ball around
+    c is row c of :func:`core.minimal_balls`, and the union of its
+    squares is the diagonal iff every row marks only its own point: the
+    T1 test. Cost: O(n^2), whatever the table values.
     """
-    m, n = space.num, len(space)
     t1 = separation_class(space).t1
-    gap = _least_gap(space)
+    gap = least_gap(space)
     n0 = max(1, math.ceil(1 / gap)) if gap is not None else 1
-    members = set()
-    for c in range(n):
-        inside = [i for i in range(n) if (m[c][i] - m[c][c]) * n0 < space.den]  # gap < 1/n0
-        members.update((i, j) for i in inside for j in inside)
-    diagonal = {(i, i) for i in range(n)}
-    return GDeltaReport(t1, n0, members == diagonal)
+    return GDeltaReport(t1, n0, t1)
 
 
 @dataclass(frozen=True)

@@ -119,7 +119,7 @@ def _cmd_axioms(args) -> int:
 def _cmd_analyze(args) -> int:
     _, space = _resolve_space(args.space)
     seq, horizon = _resolve_sequence(args.seq, args.horizon)
-    tol = parse_rational(args.tol) if args.tol else DEFAULT_TOL
+    tol = DEFAULT_TOL if args.tol is None else parse_rational(args.tol)
     if args.mode == "cauchy":
         rep = is_cauchy(space, seq, tol=tol, horizon=horizon)
         ok = rep.verdict == "cauchy_to"
@@ -229,8 +229,8 @@ def _cmd_topology(args) -> int:
 
 
 def _alpha_grid(args) -> Sequence[Fraction]:
-    return ([parse_rational(s) for s in args.alpha_grid.split(",")]
-            if args.alpha_grid else DEFAULT_ALPHA_GRID)
+    return (DEFAULT_ALPHA_GRID if args.alpha_grid is None
+            else [parse_rational(s) for s in args.alpha_grid.split(",")])
 
 
 # --cond -> (checker, the parameter flag `check` reads, the one `enumerate` reads).
@@ -275,7 +275,7 @@ def _cmd_fixedpoint(args) -> int:
         if not args.start:
             raise StructureError("fixedpoint iterate needs --from")
         x0 = resolve_point(space.canonical_sample, args.start)
-        tol = parse_rational(args.tol) if args.tol else DEFAULT_TOL
+        tol = DEFAULT_TOL if args.tol is None else parse_rational(args.tol)
         known = entry.known_fixed_points if entry else ()
         budget = DEFAULT_BUDGET if args.budget is None else args.budget
         tr = iterate(space, T, x0, tol=tol, budget=budget, known_fixed_points=known)

@@ -282,6 +282,23 @@ def diameter(space: FinitePMSpace) -> Fraction:
     return Fraction(max(map(max, space.num)), space.den)
 
 
+def minimal_balls(space: FinitePMSpace) -> tuple[tuple[bool, ...], ...]:
+    """Row x marks every y that lies in every ball around x: p(x,y) <= p(x,x).
+
+    Balls shrink with the radius and membership changes only at the gaps
+    p(x,y) - p(x,x), so row x is the smallest ball around x, reached at
+    any radius up to the least positive gap. It fixes the ball topology of
+    a finite table, valid or not. Row x always marks x. Cost: O(n^2).
+    """
+    return tuple(tuple(v <= row[i] for v in row) for i, row in enumerate(space.num))
+
+
+def least_gap(space: FinitePMSpace) -> Optional[Fraction]:
+    """Smallest positive p(x,y) - p(x,x) over the table, or None when there is none. O(n^2)."""
+    gaps = [v - row[i] for i, row in enumerate(space.num) for v in row if v > row[i]]
+    return Fraction(min(gaps), space.den) if gaps else None
+
+
 @dataclass(frozen=True)
 class SeparationClass(Record):
     t0: bool
@@ -290,31 +307,18 @@ class SeparationClass(Record):
 
 
 def separation_class(space: FinitePMSpace) -> SeparationClass:
-    """Separation verdicts of the ball topology.
+    """Separation verdicts of the ball topology, read from :func:`minimal_balls`.
 
-    T1 holds iff every cross distance strictly exceeds both self
-    distances. For Hausdorff it is enough to look at the smallest balls:
-    membership of y in B(x, eps) only changes at the thresholds
-    p(x,y) - p(x,x), and balls shrink with eps, so two points can be
-    separated iff their minimal balls {y : p(x,y) = p(x,x)} are disjoint.
+    A ball around x leaves y out at some radius iff row x does not mark
+    y. So T0 holds iff no two distinct points mark each other, and T1
+    iff every row marks only its own point. Two points are separated by
+    balls iff their smallest balls are disjoint, and a mark of y in row
+    x puts y in both; so Hausdorff is T1 here. Cost: O(n^2).
     """
-    m, n = space.num, len(space)
-    t0 = all(
-        not (m[i][i] == m[i][j] == m[j][j])
-        for i in range(n)
-        for j in range(n)
-        if i != j
-    )
-    t1 = all(
-        m[i][j] > m[i][i] and m[i][j] > m[j][j]
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
-    minball = [frozenset(j for j in range(n) if m[i][j] == m[i][i]) for i in range(n)]
-    hausdorff = all(
-        not (minball[i] & minball[j]) for i in range(n) for j in range(i + 1, n)
-    )
-    return SeparationClass(t0, t1, hausdorff)
+    rel = minimal_balls(space)
+    marks = [(i, j) for i, row in enumerate(rel) for j, on in enumerate(row) if on and i != j]
+    t1 = not marks
+    return SeparationClass(not any(rel[j][i] for i, j in marks), t1, t1)
 
 
 def p_m_matrix(space: FinitePMSpace) -> list[list[int]]:

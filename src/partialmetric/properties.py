@@ -2,10 +2,12 @@
 
 Every generated table must pass the axiom scan, its three derived
 metrics must be true metrics, the specialization relation must be a
-partial order whose maximal balls cover the space, the diagonal must be
-recovered whenever the space is T1, the constant-map survivors must be
-exactly the bottom set, and every enumerated max-condition survivor must
-keep the bottom set invariant and contract under the shifted metric.
+partial order whose maximal balls cover the space, the five finite forms
+of "Hausdorff, hence metrizable" must agree, the constant-map survivors
+must be exactly the bottom set, and every enumerated max-condition
+survivor must keep the bottom set invariant and contract under the
+shifted metric. The topology probes compute; each invariant they rest
+on is checked here, once.
 """
 
 from __future__ import annotations
@@ -20,12 +22,15 @@ from .analysis import gdelta_diagonal, maximal_points, specialization_order
 from .catalog import random_pm_space
 from .core import (
     FinitePMSpace,
+    ball,
     bottom_set,
     check_axioms,
     d_matrix,
+    least_gap,
     p_bar_matrix,
     p_m_matrix,
     rho_of,
+    separation_class,
 )
 from .fixedpoint import check_condition_max, constant_map_bottom, exhaustive_condition_maps
 from .points import Record, to_json
@@ -60,6 +65,51 @@ class PropertyRunResult:
         }
 
 
+def _partial_order_problems(matrix) -> list[str]:
+    """Reflexivity, antisymmetry and transitivity of a relation, on bitmask rows.
+
+    Row i is a mask of the j it marks; transitivity is "every row that
+    row i marks is a subset of row i", n^2 mask tests. Reports the first
+    failure of each kind.
+    """
+    masks = [sum(1 << j for j, on in enumerate(row) if on) for row in matrix]
+    pairs = [(i, j) for i, row in enumerate(matrix) for j, on in enumerate(row) if on]
+    problems = [f"specialization order: not reflexive at {i}"
+                for i, mask in enumerate(masks) if not mask >> i & 1][:1]
+    problems += [f"specialization order: not antisymmetric at ({i},{j})"
+                 for i, j in pairs if i != j and masks[j] >> i & 1][:1]
+    for i, j in pairs:
+        missing = masks[j] & ~masks[i]
+        if missing:
+            k = (missing & -missing).bit_length() - 1
+            problems.append(f"specialization order: not transitive at ({i},{j},{k})")
+            break
+    return problems
+
+
+def _metrizability_problems(space: FinitePMSpace, balls, hats) -> list[str]:
+    """The paper's second claim on a finite table: five verdicts that must agree.
+
+    A finite valid table is Hausdorff iff it is T1, iff its diagonal is
+    the ball-product intersection, iff every point is maximal, iff every
+    ball at the deciding radius is a singleton; its topology is then
+    discrete, that of p_m. The last verdict comes from ``core.ball``, not
+    from the minimal-ball relation that the other four read, and so does
+    the reported pair.
+    """
+    sep, gd = separation_class(space), gdelta_diagonal(space)
+    verdicts = {"hausdorff": sep.hausdorff, "t1": sep.t1, "equals_diagonal": gd.equals_diagonal,
+                "every point maximal": len(hats) == len(space),
+                "singleton balls": all(len(b) == 1 for b in balls)}
+    if len(set(verdicts.values())) == 1:
+        return []
+    n = len(balls)
+    meet = next((f"({i},{j})" for i in range(n) for j in range(i + 1, n) if balls[i] & balls[j]),
+                "none")
+    said = ", ".join(f"{k}={v}" for k, v in verdicts.items())
+    return [f"metrizability: {said} disagree; first pair whose minimal balls meet: {meet}"]
+
+
 def check_space_properties(space: FinitePMSpace) -> list[str]:
     """All structural checks for one space; returns failure descriptions."""
     problems: list[str] = []
@@ -77,25 +127,25 @@ def check_space_properties(space: FinitePMSpace) -> list[str]:
     if hit is not None:
         problems.append(f"p_bar|bottom metric axiom {hit.code}")
 
-    try:
-        order = specialization_order(space)
-    except RuntimeError as exc:
-        problems.append(f"specialization order: {exc}")
-        return problems
+    order = specialization_order(space)
+    problems += _partial_order_problems(order.matrix)
     m, n = space.num, len(space)
     for i in range(n):
         for j in range(n):
             if i != j and order.matrix[i][j] and not (m[i][j] == m[i][i] > m[j][j]):
                 problems.append(f"dominance values broken at ({i},{j})")
 
-    try:
-        maximal_points(space)
-    except RuntimeError as exc:
-        problems.append(f"maximal cover: {exc}")
-
-    gd = gdelta_diagonal(space)
-    if gd.t1 and not gd.equals_diagonal:
-        problems.append("T1 space whose diagonal is not the ball-product intersection")
+    # The deciding radius: below every positive gap, so each ball is the
+    # smallest one around its center. Balls only grow with the radius, so
+    # a cover here is a cover at every radius.
+    gap = least_gap(space)
+    eps = gap / 2 if gap is not None else Fraction(1)
+    balls = [ball(space, x, eps) for x in space.points]
+    hats = maximal_points(space)
+    covered = frozenset().union(*(b for x, b in zip(space.points, balls) if x in hats))
+    if covered != set(space.points):
+        problems.append(f"maximal cover: maximal balls fail to cover at radius {eps}")
+    problems += _metrizability_problems(space, balls, hats)
 
     try:
         constant_map_bottom(space)

@@ -2,10 +2,11 @@
 
 The scan oracles deliberately avoid the package's kernels and
 normalization: plain Fraction comparisons in the same canonical scan
-order, plus a complete radius-scan decision for the Hausdorff property.
+order, plus a complete radius-scan decision for the separation axioms.
 The sweep references at the end are the radius and factor sweeps that
 gdelta_diagonal, maximal_points, constant_map_bottom and the
-max-condition enumeration once ran in full; they reuse the package's
+max-condition enumeration once ran in full, and the partial-order
+recheck that specialization_order once ran; they reuse the package's
 other pieces unchanged.
 """
 
@@ -13,9 +14,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from partialmetric.analysis import GDeltaReport, specialization_order
+from partialmetric.analysis import GDeltaReport, SpecializationOrder, specialization_order
 from partialmetric.catalog import MapSpec
 from partialmetric.core import ball, bottom_set, separation_class
+from partialmetric.errors import AxiomFailureError
 from partialmetric.fixedpoint import DEFAULT_ALPHA_GRID, check_condition_max
 from partialmetric.points import format_point
 
@@ -85,25 +87,51 @@ def _candidate_radii(matrix):
     return sorted(set(radii))
 
 
-def hausdorff_by_radius_scan(matrix):
-    """Complete search over candidate radius pairs for disjoint balls.
+def separation_by_radius_scan(matrix):
+    """(t0, t1, hausdorff) of the ball topology by a complete search over radii.
 
     Ball membership only changes at the entry-difference thresholds, and
     the candidate set hits every interval between consecutive thresholds,
-    so scanning all candidate pairs decides the property exactly.
+    so the balls at the candidate radii are every ball around a point.
+    T0 asks for a ball around one point of each pair that leaves out the
+    other, T1 for one around each, Hausdorff for two disjoint ones.
     """
     n = len(matrix)
     radii = _candidate_radii(matrix)
+    balls = [{frozenset(j for j in range(n) if matrix[c][j] < matrix[c][c] + eps)
+              for eps in radii} for c in range(n)]
 
-    def ball(center, eps):
-        return frozenset(j for j in range(n)
-                         if matrix[center][j] < matrix[center][center] + eps)
+    def leaves_out(c, y):
+        return any(y not in b for b in balls[c])
 
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    t0 = all(leaves_out(i, j) or leaves_out(j, i) for i, j in pairs)
+    t1 = all(leaves_out(i, j) and leaves_out(j, i) for i, j in pairs)
+    hausdorff = all(any(not (b & c) for b in balls[i] for c in balls[j]) for i, j in pairs)
+    return t0, t1, hausdorff
+
+
+def specialization_order_by_sweep(space):
+    """specialization_order with the O(n^3) partial-order recheck it once ran.
+
+    The relation is p(x,y) == p(x,x) over the Fraction view, after the
+    oracle's own axiom scan.
+    """
+    m, n = space.matrix, len(space)
+    hit = axiom_violation(m)
+    if hit is not None:
+        raise AxiomFailureError(f"space violates {hit[0]}")
+    dom = tuple(tuple(m[i][j] == m[i][i] for j in range(n)) for i in range(n))
     for i in range(n):
-        for j in range(i + 1, n):
-            if not any(not (ball(i, e1) & ball(j, e2)) for e1 in radii for e2 in radii):
-                return False
-    return True
+        if not dom[i][i]:
+            raise RuntimeError("specialization order lost reflexivity")
+        for j in range(n):
+            if i != j and dom[i][j] and dom[j][i]:
+                raise RuntimeError("specialization order lost antisymmetry")
+            for k in range(n):
+                if dom[i][j] and dom[j][k] and not dom[i][k]:
+                    raise RuntimeError("specialization order lost transitivity")
+    return SpecializationOrder(space.points, dom)
 
 
 def gdelta_by_sweep(space):

@@ -130,6 +130,13 @@ class TestTopology:
         code, out, _ = run(capsys, "topology", "separation", "--space", "ex5.6")
         assert code == 0 and "hausdorff=False" in out
 
+    def test_separation_of_a_table_that_fails_the_axioms(self, capsys, tmp_path):
+        # b lies in every ball around a, not a in one around b: T0, not T1, not Hausdorff.
+        table = tmp_path / "t.json"
+        table.write_text(json.dumps({"points": ["a", "b"], "p": [["2", "1"], ["1", "0"]]}))
+        code, out, _ = run(capsys, "topology", "separation", "--space", str(table))
+        assert code == 0 and out == "t0=True t1=False hausdorff=False\n"
+
     def test_gdelta(self, capsys):
         code, out, _ = run(capsys, "topology", "gdelta", "--space", "ex5.8", "--json")
         doc = json.loads(out)
@@ -340,6 +347,19 @@ class TestBoundedInput:
         with pytest.raises(ValueError, match="not a rational"):
             parse_rational(text)
         assert parse_point_ids([text]) == (text,)
+
+    @pytest.mark.parametrize("argv", [
+        ["topology", "net", "--space", "apex", "--eps", ""],
+        ["fixedpoint", "check", "--space", "ex5.8", "--map", "const.b", "--alpha", ""],
+        ["fixedpoint", "iterate", "--space", "ex5.4", "--map", "ex5.4.T", "--from", "0/1",
+         "--tol", ""],
+        ["fixedpoint", "bottom", "--space", "ex5.5", "--alpha-grid", ""],
+        ["analyze", "seq", "--space", "ex3.4", "--seq", "ex3.4.recip", "--target", "0/1",
+         "--tol", ""],
+    ], ids=lambda argv: argv[1] + argv[argv.index("") - 1])
+    def test_empty_rational_flag_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "not a rational: ''" in err
 
     def test_digit_separator_rational_exits_two(self, capsys):
         code, out, err = run(capsys, "topology", "net", "--space", "apex", "--eps", "1_0/2")

@@ -16,6 +16,7 @@ from partialmetric import (
     check_axioms,
     d_metric,
     diameter,
+    minimal_balls,
     p_bar,
     p_m,
     random_pm_space,
@@ -25,7 +26,7 @@ from partialmetric import (
 from partialmetric.core import d_matrix, p_bar_matrix, p_m_matrix
 from partialmetric import kernels
 
-from oracles import hausdorff_by_radius_scan, metric_violation
+from oracles import metric_violation, separation_by_radius_scan
 
 F = Fraction
 
@@ -226,12 +227,20 @@ class TestSeparation:
         sep = separation_class(random_pm_space(11, 6, zero_f=True))
         assert sep.t0 and sep.t1 and sep.hausdorff
 
+    def test_minimal_balls_mark_what_every_ball_holds(self):
+        # b lies in every ball around a (p(a,b) <= p(a,a)) though the table fails P2.
+        sp = FinitePMSpace(["a", "b"], [["2", "1"], ["1", "0"]])
+        assert minimal_balls(sp) == ((True, True), (False, True))
+        trunc = catalog_space("ex5.6").finite_sample()
+        assert all(minimal_balls(trunc)[trunc.index(F(0))])
+
     def test_hausdorff_matches_radius_scan_oracle(self):
         spaces = [random_pm_space(s, s % 6 + 2) for s in range(30)]
         spaces += [catalog_space(n).finite_sample()
                    for n in ("ex3.2", "ex5.5", "ex5.6", "ex5.8")]
         for sp in spaces:
-            assert separation_class(sp).hausdorff == hausdorff_by_radius_scan(sp.matrix)
+            sep = separation_class(sp)
+            assert (sep.t0, sep.t1, sep.hausdorff) == separation_by_radius_scan(sp.matrix)
 
     def test_valid_spaces_are_t0(self):
         for seed in range(20):

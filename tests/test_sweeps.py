@@ -4,7 +4,9 @@ gdelta_diagonal, maximal_points, constant_map_bottom and the
 max-condition enumeration each evaluate a test that is monotone in its
 parameter once, at the parameter value that decides it. The references
 in oracles.py evaluate it at every point of the old sweep; results and
-raised errors must be identical.
+raised errors must be identical. The ball-topology probes read one
+minimal-ball relation; the references scan every radius, or recheck
+the order the way specialization_order once did.
 """
 
 import random
@@ -23,6 +25,8 @@ from partialmetric import (
     least_factor,
     maximal_points,
     random_pm_space,
+    separation_class,
+    specialization_order,
 )
 from partialmetric.fixedpoint import DEFAULT_ALPHA_GRID
 
@@ -31,6 +35,8 @@ from oracles import (
     gdelta_by_sweep,
     max_condition_maps_by_sweep,
     maximal_points_by_sweep,
+    separation_by_radius_scan,
+    specialization_order_by_sweep,
 )
 
 F = Fraction
@@ -90,6 +96,21 @@ def test_gdelta_matches_sweep():
     for label, space in TABLES:
         got, want = _outcome(gdelta_diagonal, space), _outcome(gdelta_by_sweep, space)
         assert got == want, label
+        if got[0] is not None:
+            assert got[0].to_dict() == want[0].to_dict(), label
+
+
+def test_separation_matches_radius_scan():
+    for label, space in TABLES:
+        sep = separation_class(space)
+        assert (sep.t0, sep.t1, sep.hausdorff) == separation_by_radius_scan(space.matrix), label
+
+
+def test_specialization_order_matches_sweep():
+    for label, space in TABLES:
+        got = _outcome(specialization_order, space)
+        want = _outcome(specialization_order_by_sweep, space)
+        assert got[1] == want[1], label
         if got[0] is not None:
             assert got[0].to_dict() == want[0].to_dict(), label
 
