@@ -537,27 +537,25 @@ def random_pm_space(seed: int, n: int, *, zero_f: bool = False) -> FinitePMSpace
     paths to get a metric d, a 1-Lipschitz nonnegative f is taken as
     distance-to-anchor plus an offset, and the table is
     (d(x,y) + f(x) + f(y)) / 2. With zero_f the result is the metric d/2.
-    Deterministic per (seed, n, zero_f).
+    Deterministic per (seed, n, zero_f). The weights are drawn in twelfths
+    and the shortest paths run on their integer numerators, so the table
+    is built over 24. Cost: O(n^3) integer steps for the shortest paths.
     """
     if n < 1:
         raise ValueError("need at least one point")
     rng = random.Random(f"pm-random/{seed}/{n}/{int(zero_f)}")
-    d = [[F(0)] * n for _ in range(n)]
+    d = [[0] * n for _ in range(n)]  # twelfths
     for i in range(n):
         for j in range(i + 1, n):
-            d[i][j] = d[j][i] = F(rng.randint(1, 24), 12)
+            d[i][j] = d[j][i] = rng.randint(1, 24)
     for k in range(n):
+        dk = d[k]
         for i in range(n):
-            for j in range(n):
-                via = d[i][k] + d[k][j]
-                if via < d[i][j]:
-                    d[i][j] = via
+            dik = d[i][k]
+            d[i] = [v if v <= dik + w else dik + w for v, w in zip(d[i], dk)]
     anchor = rng.randrange(n)
-    offset = F(rng.randint(0, 12), 12)
-    if zero_f:
-        f = [F(0)] * n
-    else:
-        f = [d[i][anchor] + offset for i in range(n)]
+    offset = rng.randint(0, 12)
+    f = [0] * n if zero_f else [d[i][anchor] + offset for i in range(n)]
     points = [F(i) for i in range(n)]
-    matrix = [[(d[i][j] + f[i] + f[j]) / 2 for j in range(n)] for i in range(n)]
-    return FinitePMSpace(points, matrix)
+    return FinitePMSpace(points, [[F(d[i][j] + f[i] + f[j], 24) for j in range(n)]
+                                  for i in range(n)])

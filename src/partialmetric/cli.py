@@ -219,7 +219,7 @@ def _cmd_topology(args) -> int:
         _emit(rep.to_dict(), lines, args.json)
         return 0 if rep.covers else 1
     target = finite  # the probe is "net"
-    if args.restrict:
+    if args.restrict is not None:
         target = finite.restrict([resolve_point(finite.points, s)
                                   for s in args.restrict.split(",")])
     net = totally_bounded_at(target, _eps(args))

@@ -21,6 +21,7 @@ candidate whose trace certificate is within tolerance.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,10 +102,14 @@ def _check_pairwise(space, condition, params, lhs_rhs, pairs) -> ConditionReport
     return ConditionReport(condition, params, "holds", scope, len(plist), None)
 
 
-def check_contraction(space, T: MapSpec, alpha: Fraction, pairs=None) -> ConditionReport:
-    """p(T(x),T(y)) <= alpha p(x,y) over the pair set, exactly."""
+def _check_contraction_factor(alpha: Fraction) -> None:
     if not 0 <= alpha < 1:
         raise ValueError("contraction factor must lie in [0, 1)")
+
+
+def check_contraction(space, T: MapSpec, alpha: Fraction, pairs=None) -> ConditionReport:
+    """p(T(x),T(y)) <= alpha p(x,y) over the pair set, exactly."""
+    _check_contraction_factor(alpha)
 
     def lhs_rhs(x, y):
         return space.p(_apply_in(space, T, x), _apply_in(space, T, y)), alpha * space.p(x, y)
@@ -128,10 +133,14 @@ def check_condition_max(space, T: MapSpec, alpha: Fraction, pairs=None) -> Condi
     return _check_pairwise(space, "max", (("alpha", alpha),), lhs_rhs, pairs)
 
 
-def check_condition_min(space, T: MapSpec, k: int, pairs=None) -> ConditionReport:
-    """min over the first k iterate pairs <= the self-distance average."""
+def _check_depth(k: int) -> None:
     if k < 1:
         raise ValueError("the iterate depth k must be at least 1")
+
+
+def check_condition_min(space, T: MapSpec, k: int, pairs=None) -> ConditionReport:
+    """min over the first k iterate pairs <= the self-distance average."""
+    _check_depth(k)
 
     def lhs_rhs(x, y):
         u, v = x, y
@@ -316,16 +325,23 @@ def constant_map_bottom(space: FinitePMSpace,
                         alphas: Sequence[Fraction] = DEFAULT_ALPHA_GRID) -> tuple[Point, ...]:
     """Points whose constant map satisfies the max-condition at every grid factor.
 
-    Only the grid's least factor is checked (see :func:`least_factor`);
-    an empty grid keeps every point. The result must coincide with the
-    bottom set and that is rechecked. Cost: O(n^3) plus one pass over
-    the grid, whatever the table values.
+    Only the grid's least factor a/b is checked (see :func:`least_factor`);
+    an empty grid keeps every point. The constant map at z has the left
+    side p(z,z) at every pair, so z passes iff b p(z,z) is at most the
+    least right side, the minimum of max{a p(x,y), b p(x,x), b p(y,y)}
+    over the pairs x <= y of the table, taken once on ``space.num``. That
+    is the condition's own test, not the bottom-set theorem: the result
+    must coincide with the bottom set and that is rechecked. Cost:
+    O(n^2) plus one pass over the grid, whatever the table values.
     """
+    m, n = space.num, len(space)
     survivors = list(space.points)
     if alphas:
-        least = least_factor(alphas)
-        survivors = [z for z in survivors
-                     if check_condition_max(space, MapSpec.constant(z), least).ok]
+        least = Fraction(least_factor(alphas))
+        a, b = least.numerator, least.denominator
+        floor = min(max(a * row[j], b * row[i], b * m[j][j])
+                    for i, row in enumerate(m) for j in range(i, n))
+        survivors = [z for i, z in enumerate(space.points) if b * m[i][i] <= floor]
     if set(survivors) != set(bottom_set(space)):
         raise RuntimeError("constant-map survivors differ from the bottom set")
     return tuple(survivors)
@@ -341,21 +357,99 @@ def constant_map_ruled_out(space, z: Point) -> bool:
     return space.p(z, z) > rho_of(space)
 
 
+def _pruned_maps(m, bound: Fraction, with_selfs: bool) -> list[tuple[int, ...]]:
+    """Image tuples passing b p(T i, T k) <= R[i][k] at every pair i <= k, in product order.
+
+    With alpha = a/b, R[i][k] is a p(i,k), or max{a p(i,k), b p(i,i),
+    b p(k,k)} under the max-condition; it does not depend on the map, so
+    it is built once. Images are assigned depth first in table order,
+    and each pair is tested as soon as both of its images are set, so a
+    failing pair cuts every map that extends the prefix.
+    """
+    n = len(m)
+    a, b = bound.numerator, bound.denominator
+    lhs = [[b * v for v in row] for row in m]
+    rhs = [[max(a * m[i][k], b * m[i][i], b * m[k][k]) if with_selfs else a * m[i][k]
+            for k in range(n)] for i in range(n)]
+    images = [0] * n
+    found = []
+
+    def extend(k):
+        for v in range(n):
+            if lhs[v][v] <= rhs[k][k] and all(lhs[images[i]][v] <= rhs[i][k] for i in range(k)):
+                images[k] = v
+                if k + 1 < n:
+                    extend(k + 1)
+                else:
+                    found.append(tuple(images))
+
+    extend(0)
+    return found
+
+
+def _contraction_maps(m, alpha: Fraction) -> list[tuple[int, ...]]:
+    _check_contraction_factor(alpha)
+    return _pruned_maps(m, Fraction(alpha), with_selfs=False)
+
+
+def _max_condition_maps(m, alpha: Fraction) -> list[tuple[int, ...]]:
+    _check_max_factor(alpha)
+    return _pruned_maps(m, Fraction(alpha), with_selfs=True)
+
+
+def _min_condition_maps(m, k: int) -> list[tuple[int, ...]]:
+    """Image tuples passing 2 min over t <= k of p(T^t i, T^t j) <= p(i,i) + p(j,j), i <= j.
+
+    The left side reads iterates, which a partial map does not fix, so
+    every map of the product is tested.
+    """
+    _check_depth(k)
+    n = len(m)
+    pairs = [(i, j, m[i][i] + m[j][j]) for i in range(n) for j in range(i, n)]
+
+    def holds(images, i, j, bound):
+        for _ in range(k):
+            i, j = images[i], images[j]
+            if 2 * m[i][j] <= bound:
+                return True
+        return False
+
+    return [images for images in itertools.product(range(n), repeat=n)
+            if all(holds(images, i, j, bound) for i, j, bound in pairs)]
+
+
+# Each enumerable checker and the image tuples it passes on a table.
+_MAPS_PASSING = {
+    check_contraction: _contraction_maps,
+    check_condition_max: _max_condition_maps,
+    check_condition_min: _min_condition_maps,
+}
+
+
 def exhaustive_condition_maps(space: FinitePMSpace, check: Callable[..., ConditionReport],
                               param: Fraction | int) -> list[MapSpec]:
     """All self-maps of a tiny space that pass ``check(space, T, param)``, in table order.
 
-    ``check`` is a checker of this module and ``param`` its alpha or k.
+    ``check`` is :func:`check_contraction`, :func:`check_condition_max`
+    or :func:`check_condition_min` (or a wrapper that sets
+    ``__wrapped__`` to one of them), and ``param`` its alpha or k. The
+    maps come in ``itertools.product`` order over the images, and each
+    verdict is the checker's own, evaluated by index on ``space.num``.
+    Under the contraction and max-conditions a pair whose images are
+    both assigned and that fails prunes every map extending those
+    assignments; the min-condition tests every map. Only survivors are
+    built as ``MapSpec``s. Errors: ``SizeLimitError`` past five points,
+    then the checker's own ``ValueError`` for a bad parameter.
     """
     n = len(space)
     if n > 5:
         raise SizeLimitError(f"{n}**{n} maps is past the enumeration cutoff (n <= 5)")
+    maps_passing = _MAPS_PASSING.get(inspect.unwrap(check))
+    if maps_passing is None:
+        raise ValueError(f"the enumeration takes check_contraction, check_condition_max "
+                         f"or check_condition_min, not {check!r}")
     pts = space.points
-    survivors = []
-    for images in itertools.product(range(n), repeat=n):
-        table = {pts[i]: pts[images[i]] for i in range(n)}
-        name = "map:" + ",".join(format_point(pts[i]) for i in images)
-        T = MapSpec.from_table(name, table)
-        if check(space, T, param).ok:
-            survivors.append(T)
-    return survivors
+    ids = [format_point(p) for p in pts]
+    return [MapSpec.from_table("map:" + ",".join(ids[i] for i in images),
+                               {pts[i]: pts[images[i]] for i in range(n)})
+            for images in maps_passing(space.num, param)]

@@ -29,7 +29,6 @@ from .core import (
     least_gap,
     p_bar_matrix,
     p_m_matrix,
-    rho_of,
     separation_class,
 )
 from .fixedpoint import check_condition_max, constant_map_bottom, exhaustive_condition_maps
@@ -153,20 +152,20 @@ def check_space_properties(space: FinitePMSpace) -> list[str]:
         problems.append(f"constant-map bottom: {exc}")
 
     if n <= ENUMERATION_LIMIT:
-        rho = rho_of(space)
-        bset = set(bottom)
+        pts, at_bottom = space.points, [space.index(z) for z in bottom]
+        rho = m[at_bottom[0]][at_bottom[0]]
+        a, b = ALPHA.numerator, ALPHA.denominator
         for T in exhaustive_condition_maps(space, check_condition_max, ALPHA):
-            for z in bottom:
-                if T.apply(z) not in bset:
-                    problems.append(f"survivor {T.name} moves {z} out of the bottom set")
-            for a in range(len(bottom)):
-                for b in range(a, len(bottom)):
-                    x, y = bottom[a], bottom[b]
-                    lhs = space.p(T.apply(x), T.apply(y)) - rho
-                    rhs = ALPHA * (space.p(x, y) - rho)
-                    if lhs > rhs:
-                        problems.append(
-                            f"survivor {T.name} breaks the shifted contraction at ({x},{y})")
+            image = {i: space.index(T.apply(pts[i])) for i in at_bottom}
+            for i in at_bottom:
+                if image[i] not in at_bottom:
+                    problems.append(f"survivor {T.name} moves {pts[i]} out of the bottom set")
+            for pos, i in enumerate(at_bottom):
+                for j in at_bottom[pos:]:
+                    # p(Tx,Ty) - rho > ALPHA (p(x,y) - rho), over den and times b
+                    if b * (m[image[i]][image[j]] - rho) > a * (m[i][j] - rho):
+                        problems.append(f"survivor {T.name} breaks the shifted contraction "
+                                        f"at ({pts[i]},{pts[j]})")
     return problems
 
 

@@ -5,18 +5,22 @@ normalization: plain Fraction comparisons in the same canonical scan
 order, plus a complete radius-scan decision for the separation axioms.
 The sweep references at the end are the radius and factor sweeps that
 gdelta_diagonal, maximal_points, constant_map_bottom and the
-max-condition enumeration once ran in full, and the partial-order
-recheck that specialization_order once ran; they reuse the package's
-other pieces unchanged.
+max-condition enumeration once ran in full, the partial-order recheck
+that specialization_order once ran, and the map enumeration that
+exhaustive_condition_maps once ran: every self-map built as a MapSpec
+and passed to its checker (condition_maps_by_sweep). They reuse the
+package's other pieces unchanged. random_pm_space_by_fractions is the
+generator as it once ran, on Fractions.
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 from partialmetric.analysis import GDeltaReport, SpecializationOrder, specialization_order
 from partialmetric.catalog import MapSpec
-from partialmetric.core import ball, bottom_set, separation_class
+from partialmetric.core import FinitePMSpace, ball, bottom_set, separation_class
 from partialmetric.errors import AxiomFailureError
 from partialmetric.fixedpoint import DEFAULT_ALPHA_GRID, check_condition_max
 from partialmetric.points import format_point
@@ -183,13 +187,46 @@ def constant_map_bottom_by_sweep(space, alphas=DEFAULT_ALPHA_GRID):
     return tuple(survivors)
 
 
+def _every_map(space):
+    pts, n = space.points, len(space)
+    for images in itertools.product(range(n), repeat=n):
+        yield MapSpec.from_table("map:" + ",".join(format_point(pts[i]) for i in images),
+                                 {pts[i]: pts[images[i]] for i in range(n)})
+
+
 def max_condition_maps_by_sweep(space, alphas):
     """Names of the self-maps passing the max-condition at every grid factor, in table order."""
-    pts, n = space.points, len(space)
-    names = []
-    for images in itertools.product(range(n), repeat=n):
-        T = MapSpec.from_table("map:" + ",".join(format_point(pts[i]) for i in images),
-                               {pts[i]: pts[images[i]] for i in range(n)})
-        if all(check_condition_max(space, T, a).ok for a in alphas):
-            names.append(T.name)
-    return names
+    return [T.name for T in _every_map(space)
+            if all(check_condition_max(space, T, a).ok for a in alphas)]
+
+
+def condition_maps_by_sweep(space, check, param):
+    """Names of the self-maps passing ``check(space, T, param)``, in table order.
+
+    Every map of the full product is built and checked; a bad parameter
+    raises the checker's own error at the first map.
+    """
+    return [T.name for T in _every_map(space) if check(space, T, param).ok]
+
+
+def random_pm_space_by_fractions(seed, n, zero_f=False):
+    """random_pm_space with Floyd-Warshall and the table on Fractions."""
+    if n < 1:
+        raise ValueError("need at least one point")
+    rng = random.Random(f"pm-random/{seed}/{n}/{int(zero_f)}")
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = Fraction(rng.randint(1, 24), 12)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                via = d[i][k] + d[k][j]
+                if via < d[i][j]:
+                    d[i][j] = via
+    anchor = rng.randrange(n)
+    offset = Fraction(rng.randint(0, 12), 12)
+    f = [Fraction(0)] * n if zero_f else [d[i][anchor] + offset for i in range(n)]
+    points = [Fraction(i) for i in range(n)]
+    return FinitePMSpace(points, [[(d[i][j] + f[i] + f[j]) / 2 for j in range(n)]
+                                  for i in range(n)])

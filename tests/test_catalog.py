@@ -20,7 +20,7 @@ from partialmetric import (
 )
 from partialmetric.points import FSet
 
-from oracles import axiom_violation
+from oracles import axiom_violation, random_pm_space_by_fractions
 
 F = Fraction
 
@@ -220,6 +220,14 @@ class TestRandomGenerator:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             random_pm_space(0, 0)
+
+    @pytest.mark.parametrize("zero_f", [False, True])
+    def test_matches_the_fraction_builder(self, zero_f):
+        for n in range(1, 13):
+            for seed in range(5):
+                got = random_pm_space(seed, n, zero_f=zero_f)
+                want = random_pm_space_by_fractions(seed, n, zero_f=zero_f)
+                assert (got.points, got.num, got.den) == (want.points, want.num, want.den)
 
     def test_seed_six_points_passes_oracle(self):
         # independent exhaustive check over all 216 triples

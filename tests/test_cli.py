@@ -361,6 +361,11 @@ class TestBoundedInput:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "not a rational: ''" in err
 
+    def test_empty_restriction_exits_two(self, capsys):
+        code, out, err = run(capsys, "topology", "net", "--space", "apex", "--eps", "1/2",
+                             "--restrict", "")
+        assert code == 2 and out == "" and "not in space" in err
+
     def test_digit_separator_rational_exits_two(self, capsys):
         code, out, err = run(capsys, "topology", "net", "--space", "apex", "--eps", "1_0/2")
         assert code == 2 and out == "" and "not a rational" in err

@@ -1,5 +1,6 @@
 """Condition checkers, iteration traces, bottom-set reduction, enumeration."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -306,6 +307,14 @@ class TestExhaustiveEnumeration:
         sp = random_pm_space(0, 6)
         with pytest.raises(SizeLimitError):
             exhaustive_condition_maps(sp, check_condition_max, F(1, 2))
+
+    def test_only_the_three_checkers_enumerate(self):
+        sp = random_pm_space(0, 3)
+        with pytest.raises(ValueError, match="takes check_contraction, check_condition_max"):
+            exhaustive_condition_maps(sp, lambda space, T, alpha: None, F(1, 2))
+        wrapped = functools.wraps(check_condition_max)(lambda *args: check_condition_max(*args))
+        assert ([T.name for T in exhaustive_condition_maps(sp, wrapped, F(1, 2))]
+                == [T.name for T in exhaustive_condition_maps(sp, check_condition_max, F(1, 2))])
 
     def test_min_condition_matches_square_constant_on_metric_spaces(self):
         # with a contraction in hand, the min-condition at depth 2 is the same

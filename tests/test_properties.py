@@ -2,11 +2,13 @@
 
 import pytest
 
-from partialmetric import FinitePMSpace, analysis, core
+from partialmetric import FinitePMSpace, MapSpec, analysis, core, properties
 from partialmetric.properties import check_space_properties, property_run
 
 # a >= b: b lies in every ball around a, and a is the only maximal point.
 PAIR = FinitePMSpace(["a", "b"], [["1", "1"], ["1", "0"]])
+# a and b form the bottom set; c sits above it.
+BOTTOM_PAIR = FinitePMSpace(["a", "b", "c"], [["0", "2", "2"], ["2", "0", "2"], ["2", "2", "1"]])
 # a >= b >= c, so a >= c too.
 CHAIN = FinitePMSpace(["a", "b", "c"], [["2", "2", "2"], ["2", "1", "1"], ["2", "1", "0"]])
 
@@ -37,3 +39,16 @@ def test_a_mark_dropped_from_the_relation_is_reported(monkeypatch, space, drop, 
     monkeypatch.setattr(core, "minimal_balls", dropped)
     monkeypatch.setattr(analysis, "minimal_balls", dropped)
     assert reported in check_space_properties(space)
+
+
+@pytest.mark.parametrize("images, reported", [
+    ("cbc", ["survivor map:c,b,c moves a out of the bottom set",
+             "survivor map:c,b,c breaks the shifted contraction at (a,a)",
+             "survivor map:c,b,c breaks the shifted contraction at (a,b)"]),
+    ("abc", ["survivor map:a,b,c breaks the shifted contraction at (a,b)"]),
+], ids=["leaves-bottom", "no-contraction"])
+def test_a_planted_survivor_is_reported(monkeypatch, images, reported):
+    assert check_space_properties(BOTTOM_PAIR) == []
+    T = MapSpec.from_table("map:" + ",".join(images), dict(zip("abc", images)))
+    monkeypatch.setattr(properties, "exhaustive_condition_maps", lambda *args: [T])
+    assert check_space_properties(BOTTOM_PAIR) == reported

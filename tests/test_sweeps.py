@@ -6,7 +6,9 @@ parameter once, at the parameter value that decides it. The references
 in oracles.py evaluate it at every point of the old sweep; results and
 raised errors must be identical. The ball-topology probes read one
 minimal-ball relation; the references scan every radius, or recheck
-the order the way specialization_order once did.
+the order the way specialization_order once did. The map enumeration
+runs on indices and prunes; its reference builds every map and passes
+it to the checker.
 """
 
 import random
@@ -19,6 +21,8 @@ from partialmetric import (
     catalog_names,
     catalog_space,
     check_condition_max,
+    check_condition_min,
+    check_contraction,
     constant_map_bottom,
     exhaustive_condition_maps,
     gdelta_diagonal,
@@ -31,6 +35,7 @@ from partialmetric import (
 from partialmetric.fixedpoint import DEFAULT_ALPHA_GRID
 
 from oracles import (
+    condition_maps_by_sweep,
     constant_map_bottom_by_sweep,
     gdelta_by_sweep,
     max_condition_maps_by_sweep,
@@ -145,6 +150,42 @@ def test_max_enumeration_matches_sweep():
             assert err == want_err, (label, grid)
             if err is None:
                 assert [T.name for T in got] == want, (label, grid)
+
+
+# Each checker at valid parameters, then at parameters it refuses.
+CONDITIONS = (
+    [(check_contraction, a) for a in (F(1, 2), F(9, 10))]
+    + [(check_condition_max, a) for a in (F(0), F(1, 2), F(9, 10))]
+    + [(check_condition_min, k) for k in (1, 2, 3)]
+    + [(check_contraction, a) for a in (F(1), F(-1, 2))]
+    + [(check_condition_max, a) for a in (F(1), F(-1, 2))]
+    + [(check_condition_min, 0)]
+)
+
+# Every table of up to three points, those of the first twelve seeds and
+# the catalog at four, and two at five: the sweep checks 3125 maps one by
+# one at n = 5. The corrupted tables are asymmetric, so they pin which
+# way round each pair is read.
+ENUMERATION_TABLES = [
+    (label, sp) for label, sp in TABLES
+    if len(sp) <= 3 or len(sp) == 4 and (label.startswith("catalog/")
+                                         or int(label.split("/")[1]) < 12)
+    or label in ("random/4", "corrupted/9")]
+
+
+def test_enumeration_tables_cover_five_points_and_asymmetry():
+    assert {len(sp) for _, sp in ENUMERATION_TABLES} == {1, 2, 3, 4, 5}
+    assert any(sp.num[i][j] != sp.num[j][i] for _, sp in ENUMERATION_TABLES if len(sp) == 5
+               for i in range(5) for j in range(5))
+
+
+def test_enumeration_matches_sweep_under_every_checker():
+    for label, space in ENUMERATION_TABLES:
+        for check, param in CONDITIONS:
+            got, err = _outcome(exhaustive_condition_maps, space, check, param)
+            want = _outcome(condition_maps_by_sweep, space, check, param)
+            assert (None if got is None else [T.name for T in got], err) == want, (
+                label, check.__name__, param)
 
 
 def test_max_enumeration_needs_a_factor():
