@@ -273,7 +273,12 @@ def limit_set(space: FinitePMSpace, seq: SequenceSpec,
 
 @dataclass(frozen=True)
 class SpecializationOrder:
-    """The relation x >= y iff y lies in every ball around x, i.e. p(x,y) = p(x,x)."""
+    """The relation x >= y iff y lies in every ball around x, i.e. p(x,y) = p(x,x).
+
+    Not a ``Record``, whose JSON keys are the field names: the key
+    "dominates" is also the name of the method, so the relation is the
+    field ``matrix`` and :meth:`to_dict` writes the key itself.
+    """
 
     points: tuple[Point, ...]
     matrix: tuple[tuple[bool, ...], ...]
@@ -356,16 +361,10 @@ def ball_cover_check(space: FinitePMSpace, centers: Sequence[Point], eps: Fracti
 
 
 @dataclass(frozen=True)
-class NetReport:
+class NetReport(Record):
     centers: tuple[Point, ...]
+    size: int
     eps: Fraction
-
-    @property
-    def size(self) -> int:
-        return len(self.centers)
-
-    def to_dict(self) -> dict:
-        return {"centers": to_json(self.centers), "size": self.size, "eps": to_json(self.eps)}
 
 
 def totally_bounded_at(space: FinitePMSpace, eps: Fraction) -> NetReport:
@@ -388,7 +387,7 @@ def totally_bounded_at(space: FinitePMSpace, eps: Fraction) -> NetReport:
         )
         centers.append(best)
         uncovered -= balls[best]
-    return NetReport(tuple(centers), eps)
+    return NetReport(tuple(centers), len(centers), eps)
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ from .fixedpoint import (
     iterate,
     least_factor,
 )
-from .points import (format_point, parse_point_ids, parse_rational, read_json, resolve_point,
+from .points import (format_point, parse_rational, read_json, resolve_point, resolve_points,
                      to_json)
 from .properties import property_run
 
@@ -77,7 +77,8 @@ def _resolve_space(arg: str) -> tuple[Optional[CatalogEntry], Union[FinitePMSpac
     return None, FinitePMSpace.from_json(path.read_text())
 
 
-def _resolve_sequence(arg: str, horizon: Optional[int]) -> tuple[SequenceSpec, int]:
+def _resolve_sequence(arg: str, horizon: Optional[int],
+                      space: Union[FinitePMSpace, CatalogSpace]) -> tuple[SequenceSpec, int]:
     eff_horizon = DEFAULT_HORIZON if horizon is None else horizon
     try:
         return catalog_sequence(arg), eff_horizon
@@ -93,7 +94,8 @@ def _resolve_sequence(arg: str, horizon: Optional[int]) -> tuple[SequenceSpec, i
         ids = doc["explicit"]
         if not isinstance(ids, list):
             raise StructureError("'explicit' must be a list of point ids")
-        return SequenceSpec.explicit(parse_point_ids([str(s) for s in ids])), eff_horizon
+        points = resolve_points(space.canonical_sample, [str(s) for s in ids])
+        return SequenceSpec.explicit(points), eff_horizon
     if "generator" in doc:
         seq = catalog_sequence(str(doc["generator"]))
         file_horizon = doc.get("horizon", DEFAULT_HORIZON)
@@ -118,7 +120,7 @@ def _cmd_axioms(args) -> int:
 
 def _cmd_analyze(args) -> int:
     _, space = _resolve_space(args.space)
-    seq, horizon = _resolve_sequence(args.seq, args.horizon)
+    seq, horizon = _resolve_sequence(args.seq, args.horizon, space)
     tol = DEFAULT_TOL if args.tol is None else parse_rational(args.tol)
     if args.mode == "cauchy":
         rep = is_cauchy(space, seq, tol=tol, horizon=horizon)
@@ -212,16 +214,15 @@ def _cmd_topology(args) -> int:
         _emit({"maximal": sorted(format_point(p) for p in hats)}, lines, args.json)
         return 0
     if args.probe == "cover":
-        centers = ([resolve_point(finite.points, s) for s in args.centers.split(",")]
-                   if args.centers else [])
+        centers = ([] if args.centers is None
+                   else resolve_points(finite.points, args.centers.split(",")))
         rep = ball_cover_check(finite, centers, _eps(args))
         lines = [f"covers: {rep.covers}" + ("" if rep.covers else f" uncovered={format_point(rep.uncovered)}")]
         _emit(rep.to_dict(), lines, args.json)
         return 0 if rep.covers else 1
     target = finite  # the probe is "net"
     if args.restrict is not None:
-        target = finite.restrict([resolve_point(finite.points, s)
-                                  for s in args.restrict.split(",")])
+        target = finite.restrict(resolve_points(finite.points, args.restrict.split(",")))
     net = totally_bounded_at(target, _eps(args))
     lines = [f"net size {net.size}: " + ", ".join(format_point(p) for p in net.centers)]
     _emit(net.to_dict(), lines, args.json)
@@ -327,7 +328,7 @@ def _cmd_random(args) -> int:
         raise StructureError(f"seed span {args.seeds!r} holds no seed")
     result = property_run(seeds, max_n=args.max_n)
     lines = [f"seeds {seeds.start}..{seeds.stop - 1}, {result.spaces_checked} spaces, "
-             f"{len(result.failures)} failures, {result.elapsed:.2f}s"]
+             f"{len(result.failures)} failures, {result.elapsed_seconds:.2f}s"]
     lines += [f"  seed {f.seed} (n={f.n}): {f.detail}" for f in result.failures]
     _emit(result.to_dict(), lines, args.json)
     return 0 if result.ok else 1

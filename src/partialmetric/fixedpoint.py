@@ -31,7 +31,7 @@ from .analysis import DEFAULT_TOL, check_tolerance
 from .catalog import MapSpec
 from .core import FinitePMSpace, bottom_set, rho_of
 from .errors import DomainError, MapClosureError, MetadataError, SizeLimitError
-from .points import Point, Record, format_point, to_json
+from .points import Point, Record, format_point
 
 DEFAULT_BUDGET = 10_000
 DEFAULT_ALPHA = Fraction(1, 2)
@@ -50,9 +50,9 @@ class ConditionViolation(Record):
 
 
 @dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     condition: str            # "contraction" | "max" | "min"
-    params: tuple[tuple[str, object], ...]
+    params: dict              # {"alpha": alpha} | {"k": k}
     verdict: str              # "holds" | "violated"
     scope: str                # "exhaustive" | "sample" | "explicit"
     pairs_checked: int
@@ -61,16 +61,6 @@ class ConditionReport:
     @property
     def ok(self) -> bool:
         return self.verdict == "holds"
-
-    def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "params": to_json(dict(self.params)),
-            "verdict": self.verdict,
-            "scope": self.scope,
-            "pairs_checked": self.pairs_checked,
-            "violation": to_json(self.violation),
-        }
 
 
 def _apply_in(space, T: MapSpec, x: Point) -> Point:
@@ -114,7 +104,7 @@ def check_contraction(space, T: MapSpec, alpha: Fraction, pairs=None) -> Conditi
     def lhs_rhs(x, y):
         return space.p(_apply_in(space, T, x), _apply_in(space, T, y)), alpha * space.p(x, y)
 
-    return _check_pairwise(space, "contraction", (("alpha", alpha),), lhs_rhs, pairs)
+    return _check_pairwise(space, "contraction", {"alpha": alpha}, lhs_rhs, pairs)
 
 
 def _check_max_factor(alpha: Fraction) -> None:
@@ -130,7 +120,7 @@ def check_condition_max(space, T: MapSpec, alpha: Fraction, pairs=None) -> Condi
         lhs = space.p(_apply_in(space, T, x), _apply_in(space, T, y))
         return lhs, max(alpha * space.p(x, y), space.p(x, x), space.p(y, y))
 
-    return _check_pairwise(space, "max", (("alpha", alpha),), lhs_rhs, pairs)
+    return _check_pairwise(space, "max", {"alpha": alpha}, lhs_rhs, pairs)
 
 
 def _check_depth(k: int) -> None:
@@ -151,7 +141,7 @@ def check_condition_min(space, T: MapSpec, k: int, pairs=None) -> ConditionRepor
             best = val if best is None or val < best else best
         return best, (space.p(x, x) + space.p(y, y)) / 2
 
-    return _check_pairwise(space, "min", (("k", k),), lhs_rhs, pairs)
+    return _check_pairwise(space, "min", {"k": k}, lhs_rhs, pairs)
 
 
 @dataclass(frozen=True)
@@ -401,14 +391,17 @@ def _min_condition_maps(m, k: int) -> list[tuple[int, ...]]:
     """Image tuples passing 2 min over t <= k of p(T^t i, T^t j) <= p(i,i) + p(j,j), i <= j.
 
     The left side reads iterates, which a partial map does not fix, so
-    every map of the product is tested.
+    every map of the product is tested. The iterate pair takes at most
+    n^2 values, all of them within its first n^2 steps, so the minimum
+    is taken over t <= min(k, n^2): O(min(k, n^2) n^2) per map.
     """
     _check_depth(k)
     n = len(m)
+    depth = min(k, n * n)
     pairs = [(i, j, m[i][i] + m[j][j]) for i in range(n) for j in range(i, n)]
 
     def holds(images, i, j, bound):
-        for _ in range(k):
+        for _ in range(depth):
             i, j = images[i], images[j]
             if 2 * m[i][j] <= bound:
                 return True

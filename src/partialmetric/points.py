@@ -133,10 +133,19 @@ def parse_point_ids(ids: Sequence[str]) -> tuple[Point, ...]:
                  else _point_of(s) for s in ids)
 
 
-def resolve_point(points: Sequence[Point], text: str) -> Point:
-    """Match a command-line id against a space's points, else parse it."""
+def resolve_points(points: Sequence[Point], texts: Sequence[str]) -> list[Point]:
+    """Match command-line ids against a space's points, else parse them.
+
+    The points' ids are formatted once, so the cost is O(len(points) +
+    len(texts)) id formats and lookups.
+    """
     by_id = {format_point(p): p for p in points}
-    return by_id[text] if text in by_id else _point_of(text)
+    return [by_id[text] if text in by_id else _point_of(text) for text in texts]
+
+
+def resolve_point(points: Sequence[Point], text: str) -> Point:
+    """Match one command-line id against a space's points, else parse it."""
+    return resolve_points(points, [text])[0]
 
 
 def _point_of(text: str) -> Point:

@@ -32,7 +32,7 @@ from .core import (
     separation_class,
 )
 from .fixedpoint import check_condition_max, constant_map_bottom, exhaustive_condition_maps
-from .points import Record, to_json
+from .points import Record
 
 ENUMERATION_LIMIT = 4
 ALPHA = Fraction(1, 2)  # the max-condition factor, also in the shifted contraction
@@ -47,21 +47,14 @@ class PropertyFailure(Record):
 
 
 @dataclass(frozen=True)
-class PropertyRunResult:
+class PropertyRunResult(Record):
     spaces_checked: int
+    elapsed_seconds: float  # rounded to the millisecond
     failures: tuple[PropertyFailure, ...]
-    elapsed: float
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def to_dict(self) -> dict:
-        return {
-            "spaces_checked": self.spaces_checked,
-            "elapsed_seconds": round(self.elapsed, 3),
-            "failures": to_json(self.failures),
-        }
 
 
 def _partial_order_problems(matrix) -> list[str]:
@@ -182,4 +175,4 @@ def property_run(seeds: Iterable[int], max_n: int = 7) -> PropertyRunResult:
         space = random_pm_space(seed, n)
         for problem in check_space_properties(space):
             failures.append(PropertyFailure(seed, n, problem.split(":")[0], problem))
-    return PropertyRunResult(checked, tuple(failures), time.monotonic() - start)
+    return PropertyRunResult(checked, round(time.monotonic() - start, 3), tuple(failures))

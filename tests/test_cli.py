@@ -10,7 +10,8 @@ import pytest
 from partialmetric import FinitePMSpace
 from partialmetric.cli import main
 from partialmetric.core import MAX_DEN_BITS
-from partialmetric.points import parse_point_ids, parse_rational, resolve_point
+from partialmetric.catalog import get_entry
+from partialmetric.points import parse_point_ids, parse_rational, resolve_point, resolve_points
 
 F = Fraction
 
@@ -89,6 +90,14 @@ class TestAnalyze:
         seq.write_text(json.dumps({"explicit": ["b", "b", "b", "b"]}))
         code, out, _ = run(capsys, "analyze", "seq", "--space", "ex5.8",
                            "--seq", str(seq), "--target", "b")
+        assert code == 0 and "converges" in out
+
+    def test_explicit_sequence_file_reads_set_ids_against_the_space(self, capsys, tmp_path):
+        # the file's own braced ids span only {a,b}; ex3.2's ground set is {a,b,c}
+        seq = tmp_path / "seq.json"
+        seq.write_text(json.dumps({"explicit": ["{a}", "{b}"] * 4}))
+        code, out, _ = run(capsys, "analyze", "seq", "--space", "ex3.2",
+                           "--seq", str(seq), "--target", "{a,b}")
         assert code == 0 and "converges" in out
 
     def test_generator_sequence_file(self, capsys, tmp_path):
@@ -300,6 +309,14 @@ class TestCatalog:
         code, out, _ = run(capsys, "catalog", "verify", "--all")
         assert code == 0
 
+    def test_verify_all_json_is_golden(self, capsys):
+        # every fact's id, anchor, verdict and details, byte for byte
+        case = json.loads((Path(__file__).parent / "catalog_verify_golden.json").read_text())
+        code, out, err = run(capsys, *case["argv"])
+        assert code == case["exit"]
+        assert out == json.dumps(case["json"], indent=2) + "\n"
+        assert err.splitlines() == case["stderr"]
+
 
 class TestRandom:
     def test_generate_emits_valid_space(self, capsys):
@@ -366,6 +383,11 @@ class TestBoundedInput:
                              "--restrict", "")
         assert code == 2 and out == "" and "not in space" in err
 
+    def test_empty_centers_exit_two(self, capsys):
+        code, out, err = run(capsys, "topology", "cover", "--space", "apex", "--eps", "1/2",
+                             "--centers", "")
+        assert code == 2 and out == "" and "is not in the space" in err
+
     def test_digit_separator_rational_exits_two(self, capsys):
         code, out, err = run(capsys, "topology", "net", "--space", "apex", "--eps", "1_0/2")
         assert code == 2 and out == "" and "not a rational" in err
@@ -377,6 +399,14 @@ class TestBoundedInput:
                                      "p": [["0/1", "1/1"], ["1/1", "0/1"]]}))
         code, out, _ = run(capsys, "axioms", "--space", str(table))
         assert code == 0 and "pass" in out
+
+    def test_ids_are_resolved_against_points_formatted_once(self):
+        points = get_entry("ex3.2").space.canonical_sample + tuple(F(i, 7) for i in range(150))
+        texts = ["{a}", "{a,b,c}", "3/7", "6/14", "x", "1_0"] * 2000
+        start = time.monotonic()
+        got = resolve_points(points, texts)
+        assert time.monotonic() - start < 1  # one id at a time formats 158 ids per text
+        assert got == [resolve_point(points, t) for t in texts[:6]] * 2000
 
     def test_exponent_rational_exits_two_at_once(self, capsys):
         start = time.monotonic()

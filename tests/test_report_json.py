@@ -109,9 +109,9 @@ BUILDERS = {
     "net": lambda: totally_bounded_at(_sample("apex").restrict(_APEX_BLOCK[:3]), F(1, 2)),
     # PropertyRunResult
     "property_run": lambda: PropertyRunResult(
-        2, (PropertyFailure(7, 3, "axioms", "axioms: P3 at ('a', 'b')"),), 0.12345),
+        2, 0.123, (PropertyFailure(7, 3, "axioms", "axioms: P3 at ('a', 'b')"),)),
     # FactResult and FactSuiteResult
-    "fact_fail": lambda: FactResult("x/y", "anchor", False, "why"),
+    "fact_fail": lambda: FactResult("x/y", "anchor", "fail", "why"),
     "fact_suite": lambda: run_fact_suite(["ex5.8"]),
 }
 

@@ -37,3 +37,16 @@ def test_no_module_switches_on_a_space_class():
 @pytest.mark.parametrize("cls", [SequenceSpec, BottomDecl])
 def test_no_kind_tag(cls):
     assert "kind" not in {f.name for f in dataclasses.fields(cls)}
+
+
+def test_reports_serialize_by_field_name():
+    # Record.to_dict writes each field under its name; SpecializationOrder's
+    # key "dominates" is also its method's name, so it keeps its own.
+    own = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(item, ast.FunctionDef) and item.name == "to_dict"
+                    for item in node.body):
+                own.append(f"{path.stem}.{node.name}")
+    assert sorted(own) == ["analysis.SpecializationOrder", "points.Record"]

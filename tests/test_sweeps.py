@@ -12,6 +12,7 @@ it to the checker.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,17 @@ def test_enumeration_matches_sweep_under_every_checker():
             want = _outcome(condition_maps_by_sweep, space, check, param)
             assert (None if got is None else [T.name for T in got], err) == want, (
                 label, check.__name__, param)
+
+
+def test_min_enumeration_depth_is_bounded_by_the_iterate_pairs():
+    # (T^t x, T^t y) takes at most n^2 values, so depths past n^2 add no pair
+    for label, space in ENUMERATION_TABLES:
+        n = len(space)
+        want = [T.name for T in exhaustive_condition_maps(space, check_condition_min, n * n)]
+        start = time.monotonic()
+        got = [T.name for T in exhaustive_condition_maps(space, check_condition_min, 10**9)]
+        assert time.monotonic() - start < 1, label
+        assert got == want, label
 
 
 def test_max_enumeration_needs_a_factor():
