@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 from .core import FinitePMSpace, ball, check_axioms, least_gap, minimal_balls, separation_class
 from .errors import AxiomFailureError, UnsupportedSequenceError
-from .points import Point, Record, to_json
+from .points import Point, Record
 
 DEFAULT_TOL = Fraction(1, 10**6)
 DEFAULT_HORIZON = 10**4
@@ -272,23 +272,14 @@ def limit_set(space: FinitePMSpace, seq: SequenceSpec,
 
 
 @dataclass(frozen=True)
-class SpecializationOrder:
+class SpecializationOrder(Record):
     """The relation x >= y iff y lies in every ball around x, i.e. p(x,y) = p(x,x).
 
-    Not a ``Record``, whose JSON keys are the field names: the key
-    "dominates" is also the name of the method, so the relation is the
-    field ``matrix`` and :meth:`to_dict` writes the key itself.
+    Row i of ``dominates`` marks the points that point i dominates.
     """
 
     points: tuple[Point, ...]
-    matrix: tuple[tuple[bool, ...], ...]
-
-    def dominates(self, x: Point, y: Point) -> bool:
-        pts = self.points
-        return self.matrix[pts.index(x)][pts.index(y)]
-
-    def to_dict(self) -> dict:
-        return {"points": to_json(self.points), "dominates": to_json(self.matrix)}
+    dominates: tuple[tuple[bool, ...], ...]
 
 
 def specialization_order(space: FinitePMSpace) -> SpecializationOrder:
@@ -296,8 +287,8 @@ def specialization_order(space: FinitePMSpace) -> SpecializationOrder:
 
     On a valid table p(x,x) <= p(y,x) = p(x,y), so the relation's
     p(x,y) <= p(x,x) is p(x,y) = p(x,x). That it is then a partial order
-    is checked once, by the property suite. Cost: O(n^2) beyond the
-    O(n^3) axiom check.
+    is checked once, by the property suite. Cost: O(n^2), as the axiom
+    verdict is the one :func:`core.check_axioms` keeps on the table.
     """
     report = check_axioms(space)
     if not report.ok:
@@ -309,10 +300,10 @@ def maximal_points(space: FinitePMSpace) -> frozenset:
     """Points with no proper dominator: the order's columns that mark only their own row.
 
     Their balls cover the space at every radius; the property suite
-    checks that cover. Cost: O(n^2) beyond the axiom check of
-    :func:`specialization_order`.
+    checks that cover. Cost: O(n^2), the cost of
+    :func:`specialization_order`, which refuses an axiom-violating table.
     """
-    columns = zip(*specialization_order(space).matrix)
+    columns = zip(*specialization_order(space).dominates)
     return frozenset(p for p, col in zip(space.points, columns) if sum(col) == 1)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, ClassVar, Optional, Sequence
 
 from .analysis import SequenceSpec
@@ -67,9 +68,13 @@ class CatalogSpace:
     def sample(self, seed: int, count: int) -> list[Point]:
         return self.sampler(seed, count)
 
-    def finite_sample(self, points: Optional[Sequence[Point]] = None) -> FinitePMSpace:
-        pts = tuple(points) if points is not None else self.canonical_sample
-        return FinitePMSpace.from_function(pts, self.p)
+    def finite_sample(self) -> FinitePMSpace:
+        """The canonical sample's table: one table per space, built on first use."""
+        return self._table
+
+    @cached_property
+    def _table(self) -> FinitePMSpace:
+        return FinitePMSpace.from_function(self.canonical_sample, self.p)
 
 
 @dataclass(frozen=True)

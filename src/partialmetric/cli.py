@@ -52,8 +52,8 @@ from .fixedpoint import (
     iterate,
     least_factor,
 )
-from .points import (format_point, parse_rational, read_json, resolve_point, resolve_points,
-                     to_json)
+from .points import (format_point, format_value, parse_rational, read_json, resolve_point,
+                     resolve_points, to_json)
 from .properties import property_run
 
 
@@ -113,7 +113,7 @@ def _cmd_axioms(args) -> int:
     if not report.ok:
         lines.append(f"violated {report.violated_axiom} at "
                      f"({', '.join(format_point(p) for p in report.witness)})")
-        lines.extend(f"  {k} = {v}" for k, v in report.values.items())
+        lines.extend(f"  {k} = {format_value(v)}" for k, v in report.values.items())
     _emit(report.to_dict(), lines, args.json)
     return 0 if report.ok else 1
 
@@ -125,7 +125,8 @@ def _cmd_analyze(args) -> int:
     if args.mode == "cauchy":
         rep = is_cauchy(space, seq, tol=tol, horizon=horizon)
         ok = rep.verdict == "cauchy_to"
-        lines = [f"cauchy: {rep.verdict}" + (f" a={rep.a}" if rep.a is not None else "")]
+        lines = [f"cauchy: {rep.verdict}"
+                 + (f" a={format_value(rep.a)}" if rep.a is not None else "")]
         _emit(rep.to_dict(), lines, args.json)
         return 0 if ok else 1
     if not args.target:
@@ -135,7 +136,8 @@ def _cmd_analyze(args) -> int:
     rep = fn(space, seq, target, tol=tol, horizon=horizon)
     lines = [f"convergence to {format_point(target)}: {rep.mode}"]
     if rep.certificate:
-        lines.append(f"  tail={rep.certificate.tail_index} gap={rep.certificate.achieved_gap}")
+        cert = rep.certificate
+        lines.append(f"  tail={cert.tail_index} gap={format_value(cert.achieved_gap)}")
     _emit(rep.to_dict(), lines, args.json)
     return 0 if rep.ok else 1
 
@@ -205,7 +207,7 @@ def _cmd_topology(args) -> int:
         order = specialization_order(finite)
         lines = [f"{format_point(x)} >= {format_point(y)}"
                  for i, x in enumerate(order.points)
-                 for j, y in enumerate(order.points) if i != j and order.matrix[i][j]]
+                 for j, y in enumerate(order.points) if i != j and order.dominates[i][j]]
         _emit(order.to_dict(), lines or ["relation is equality"], args.json)
         return 0
     if args.probe == "maximal":
@@ -269,7 +271,7 @@ def _cmd_fixedpoint(args) -> int:
         if rep.violation:
             v = rep.violation
             lines.append(f"  violated at ({format_point(v.x)}, {format_point(v.y)}): "
-                         f"{v.lhs} > {v.rhs}")
+                         f"{format_value(v.lhs)} > {format_value(v.rhs)}")
         _emit(rep.to_dict(), lines, args.json)
         return 0 if rep.ok else 1
     if args.action == "iterate":
@@ -284,7 +286,7 @@ def _cmd_fixedpoint(args) -> int:
         if tr.fixed_point is not None:
             lines.append(f"fixed point {format_point(tr.fixed_point)}")
         if tr.cauchy_value is not None:
-            lines.append(f"settled pairwise value near {tr.cauchy_value}")
+            lines.append(f"settled pairwise value near {format_value(tr.cauchy_value)}")
         _emit(tr.to_dict(), lines, args.json)
         return 0 if tr.ok else 1
     finite = space.finite_sample()

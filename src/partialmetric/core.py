@@ -147,6 +147,22 @@ class FinitePMSpace:
         """The table as ``Fraction``s, built on first use."""
         return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.num)
 
+    @cached_property
+    def _axiom_report(self) -> AxiomReport:
+        """The verdict of :func:`check_axioms`, scanned on first use and kept."""
+        hit = kernels.axiom_scan(self.num)
+        if hit is None:
+            return AxiomReport("pass", None, (), {})
+        _, i, j, k = hit
+        cells = {1: {"p(x,x)": (i, i), "p(x,y)": (i, j), "p(y,y)": (j, j)},
+                 2: {"p(x,x)": (i, i), "p(y,x)": (j, i)},
+                 3: {"p(x,y)": (i, j), "p(y,x)": (j, i)},
+                 4: {"p(x,y)": (i, j), "p(x,z)": (i, k), "p(z,y)": (k, j), "p(z,z)": (k, k)}}
+        witness = tuple(self.points[t] for t in ((i, j) if k < 0 else (i, j, k)))
+        values = {key: Fraction(self.num[a][b], self.den)
+                  for key, (a, b) in cells[hit.code].items()}
+        return AxiomReport("fail", AXIOM_NAMES[hit.code], witness, values)
+
     def p(self, x: Point, y: Point) -> Fraction:
         return self.matrix[self.index(x)][self.index(y)]
 
@@ -221,19 +237,10 @@ def check_axioms(space: FinitePMSpace) -> AxiomReport:
     """Check P1-P4 over every pair and triple.
 
     The scan is axiom-major and lexicographic in point indices, so the
-    first violation is deterministic and reproducible.
+    first violation is deterministic and reproducible. It runs once per
+    table: later calls return the report the table keeps.
     """
-    hit = kernels.axiom_scan(space.num)
-    if hit is None:
-        return AxiomReport("pass", None, (), {})
-    _, i, j, k = hit
-    cells = {1: {"p(x,x)": (i, i), "p(x,y)": (i, j), "p(y,y)": (j, j)},
-             2: {"p(x,x)": (i, i), "p(y,x)": (j, i)},
-             3: {"p(x,y)": (i, j), "p(y,x)": (j, i)},
-             4: {"p(x,y)": (i, j), "p(x,z)": (i, k), "p(z,y)": (k, j), "p(z,z)": (k, k)}}
-    witness = tuple(space.points[t] for t in ((i, j) if k < 0 else (i, j, k)))
-    values = {key: Fraction(space.num[a][b], space.den) for key, (a, b) in cells[hit.code].items()}
-    return AxiomReport("fail", AXIOM_NAMES[hit.code], witness, values)
+    return space._axiom_report
 
 
 # Any space with an exact pairwise distance p(x, y) works for the derived

@@ -92,14 +92,14 @@ def _check_pairwise(space, condition, params, lhs_rhs, pairs) -> ConditionReport
     return ConditionReport(condition, params, "holds", scope, len(plist), None)
 
 
-def _check_contraction_factor(alpha: Fraction) -> None:
+def _check_factor(alpha: Fraction) -> None:  # of the contraction and the max-condition
     if not 0 <= alpha < 1:
-        raise ValueError("contraction factor must lie in [0, 1)")
+        raise ValueError("the factor must lie in [0, 1)")
 
 
 def check_contraction(space, T: MapSpec, alpha: Fraction, pairs=None) -> ConditionReport:
     """p(T(x),T(y)) <= alpha p(x,y) over the pair set, exactly."""
-    _check_contraction_factor(alpha)
+    _check_factor(alpha)
 
     def lhs_rhs(x, y):
         return space.p(_apply_in(space, T, x), _apply_in(space, T, y)), alpha * space.p(x, y)
@@ -107,14 +107,9 @@ def check_contraction(space, T: MapSpec, alpha: Fraction, pairs=None) -> Conditi
     return _check_pairwise(space, "contraction", {"alpha": alpha}, lhs_rhs, pairs)
 
 
-def _check_max_factor(alpha: Fraction) -> None:
-    if not 0 <= alpha < 1:
-        raise ValueError("the factor must lie in [0, 1)")
-
-
 def check_condition_max(space, T: MapSpec, alpha: Fraction, pairs=None) -> ConditionReport:
     """p(T(x),T(y)) <= max{alpha p(x,y), p(x,x), p(y,y)} over the pair set."""
-    _check_max_factor(alpha)
+    _check_factor(alpha)
 
     def lhs_rhs(x, y):
         lhs = space.p(_apply_in(space, T, x), _apply_in(space, T, y))
@@ -129,17 +124,30 @@ def _check_depth(k: int) -> None:
 
 
 def check_condition_min(space, T: MapSpec, k: int, pairs=None) -> ConditionReport:
-    """min over the first k iterate pairs <= the self-distance average."""
+    """min over the first k iterate pairs <= the self-distance average.
+
+    A pair stops once its minimum meets the bound (a holding pair's
+    minimum is never reported) or its iterate pair repeats, checked
+    against one checkpoint moved at steps 1, 2, 4, ... (Brent): O(1)
+    memory, O(n^2) steps on a finite table, up to k where an orbit never
+    repeats (``ex5.4.T``).
+    """
     _check_depth(k)
 
     def lhs_rhs(x, y):
-        u, v = x, y
-        best = None
-        for _ in range(k):
+        u, v = _apply_in(space, T, x), _apply_in(space, T, y)
+        best, rhs = space.p(u, v), (space.p(x, x) + space.p(y, y)) / 2
+        mark = (u, v)
+        for step in range(2, k + 1):
+            if best <= rhs:
+                break
             u, v = _apply_in(space, T, u), _apply_in(space, T, v)
-            val = space.p(u, v)
-            best = val if best is None or val < best else best
-        return best, (space.p(x, x) + space.p(y, y)) / 2
+            if (u, v) == mark:
+                break
+            best = min(best, space.p(u, v))
+            if step & (step - 1) == 0:
+                mark = (u, v)
+        return best, rhs
 
     return _check_pairwise(space, "min", {"k": k}, lhs_rhs, pairs)
 
@@ -305,7 +313,7 @@ def least_factor(alphas: Sequence[Fraction]) -> Fraction:
     nondecreasing in alpha, so it holds at every factor iff at the least.
     """
     for a in alphas:
-        _check_max_factor(a)
+        _check_factor(a)
     if not alphas:
         raise ValueError("the max-condition needs alpha or an alpha grid")
     return min(alphas)
@@ -378,12 +386,12 @@ def _pruned_maps(m, bound: Fraction, with_selfs: bool) -> list[tuple[int, ...]]:
 
 
 def _contraction_maps(m, alpha: Fraction) -> list[tuple[int, ...]]:
-    _check_contraction_factor(alpha)
+    _check_factor(alpha)
     return _pruned_maps(m, Fraction(alpha), with_selfs=False)
 
 
 def _max_condition_maps(m, alpha: Fraction) -> list[tuple[int, ...]]:
-    _check_max_factor(alpha)
+    _check_factor(alpha)
     return _pruned_maps(m, Fraction(alpha), with_selfs=True)
 
 

@@ -8,11 +8,12 @@ used in JSON tables and on the command line.
 
 This module is the only one that knows the text form of exact values:
 it reads rationals, point ids and JSON documents, and writes every
-report's JSON through :func:`to_json`. Rational text is read by one
-regular expression, ``Fraction``'s own grammar less digit separators and
-exponents, straight into a pair of ints (:func:`read_ratio`). A table's
-constructor brings such pairs to one denominator, and
-:func:`parse_rational` makes a ``Fraction`` of one pair.
+report's JSON through :func:`to_json` and every value the command line
+prints through :func:`format_value`, at any length. Rational text is
+read by one regular expression, ``Fraction``'s own grammar less digit
+separators and exponents, straight into a pair of ints
+(:func:`read_ratio`). A table's constructor brings such pairs to one
+denominator, and :func:`parse_rational` makes a ``Fraction`` of one pair.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, fields
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -102,9 +104,19 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(*read_ratio(text))
 
 
+def _digits(n: int) -> str:
+    """Decimal digits of an int of any length; ``str(int)`` stops at Python's digit limit."""
+    return str(Decimal(n))
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical "num/den" form; the denominator is always spelled out."""
-    return f"{value.numerator}/{value.denominator}"
+    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+
+
+def format_value(value: Fraction) -> str:
+    """Text form of an exact value, as ``str(Fraction)``: "n" for an integer, else "n/d"."""
+    return _digits(value.numerator) if value.denominator == 1 else format_rational(value)
 
 
 def format_point(point: Point) -> str:

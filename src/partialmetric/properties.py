@@ -120,11 +120,11 @@ def check_space_properties(space: FinitePMSpace) -> list[str]:
         problems.append(f"p_bar|bottom metric axiom {hit.code}")
 
     order = specialization_order(space)
-    problems += _partial_order_problems(order.matrix)
+    problems += _partial_order_problems(order.dominates)
     m, n = space.num, len(space)
     for i in range(n):
         for j in range(n):
-            if i != j and order.matrix[i][j] and not (m[i][j] == m[i][i] > m[j][j]):
+            if i != j and order.dominates[i][j] and not (m[i][j] == m[i][i] > m[j][j]):
                 problems.append(f"dominance values broken at ({i},{j})")
 
     # The deciding radius: below every positive gap, so each ball is the

@@ -10,7 +10,8 @@ that specialization_order once ran, and the map enumeration that
 exhaustive_condition_maps once ran: every self-map built as a MapSpec
 and passed to its checker (condition_maps_by_sweep). They reuse the
 package's other pieces unchanged. random_pm_space_by_fractions is the
-generator as it once ran, on Fractions.
+generator as it once ran, on Fractions, and condition_min_by_loop the
+min-condition check as it once ran: all k iterate steps for every pair.
 """
 
 import itertools
@@ -22,7 +23,8 @@ from partialmetric.analysis import GDeltaReport, SpecializationOrder, specializa
 from partialmetric.catalog import MapSpec
 from partialmetric.core import FinitePMSpace, ball, bottom_set, separation_class
 from partialmetric.errors import AxiomFailureError
-from partialmetric.fixedpoint import DEFAULT_ALPHA_GRID, check_condition_max
+from partialmetric.fixedpoint import (DEFAULT_ALPHA_GRID, ConditionReport, ConditionViolation,
+                                      check_condition_max)
 from partialmetric.points import format_point
 
 
@@ -164,7 +166,7 @@ def maximal_points_by_sweep(space):
     order = specialization_order(space)
     n = len(space)
     maximal = [j for j in range(n)
-               if not any(i != j and order.matrix[i][j] for i in range(n))]
+               if not any(i != j and order.dominates[i][j] for i in range(n))]
     hats = frozenset(space.points[j] for j in maximal)
     for eps in _candidate_radii(space.matrix):
         covered = set()
@@ -230,3 +232,20 @@ def random_pm_space_by_fractions(seed, n, zero_f=False):
     points = [Fraction(i) for i in range(n)]
     return FinitePMSpace(points, [[(d[i][j] + f[i] + f[j]) / 2 for j in range(n)]
                                   for i in range(n)])
+
+
+def condition_min_by_loop(space, T, k):
+    """check_condition_min over the canonical pairs, running all k steps for every pair."""
+    pts = space.canonical_sample
+    pairs = [(pts[i], pts[j]) for i in range(len(pts)) for j in range(i, len(pts))]
+    for x, y in pairs:
+        u, v, best = x, y, None
+        for _ in range(k):
+            u, v = T.apply(u), T.apply(v)
+            val = space.p(u, v)
+            best = val if best is None or val < best else best
+        rhs = (space.p(x, x) + space.p(y, y)) / 2
+        if best > rhs:
+            return ConditionReport("min", {"k": k}, "violated", space.scope, len(pairs),
+                                   ConditionViolation(x, y, best, rhs))
+    return ConditionReport("min", {"k": k}, "holds", space.scope, len(pairs), None)

@@ -201,20 +201,18 @@ class TestSpecializationOrder:
     def test_ex56_zero_dominates_everything(self):
         trunc = catalog_space("ex5.6").finite_sample()
         order = specialization_order(trunc)
-        for y in trunc.points:
-            assert order.dominates(F(0), y)
+        assert all(order.dominates[trunc.index(F(0))])
 
     def test_metric_order_is_equality(self):
         sp = random_pm_space(8, 5, zero_f=True)
         order = specialization_order(sp)
         for i, x in enumerate(sp.points):
             for j, y in enumerate(sp.points):
-                assert order.matrix[i][j] == (i == j)
+                assert order.dominates[i][j] == (i == j)
 
     def test_ex58_incomparable(self):
         order = specialization_order(catalog_space("ex5.8").finite_sample())
-        assert not order.dominates("a", "b")
-        assert not order.dominates("b", "a")
+        assert order.dominates == ((True, False), (False, True))
 
     def test_refuses_invalid_space(self):
         bad = FinitePMSpace(["a", "b"], [[F(1), F(0)], [F(0), F(0)]])
@@ -228,7 +226,7 @@ class TestSpecializationOrder:
             m = sp.matrix
             for i in range(len(sp)):
                 for j in range(len(sp)):
-                    if i != j and order.matrix[i][j]:
+                    if i != j and order.dominates[i][j]:
                         assert m[i][j] == m[i][i] > m[j][j]
 
 
@@ -298,7 +296,7 @@ class TestCoversAndNets:
 class TestSeqCompactWitness:
     def test_ex48_truncation_whole_sequence_to_zero(self):
         sp = catalog_space("ex4.8")
-        trunc = sp.finite_sample(tuple(F(i) for i in range(51)))
+        trunc = FinitePMSpace.from_function(tuple(F(i) for i in range(51)), sp.p)
         seq = SequenceSpec.explicit(tuple(F(i) for i in range(1, 51)))
         witness = seq_compact_witness(trunc, seq, tol=F(1, 25), horizon=50)
         assert witness.kind == "full" and witness.limit == F(0)

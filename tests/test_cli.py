@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, JSON documents, round trips."""
 
+import contextlib
 import json
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +13,8 @@ from partialmetric import FinitePMSpace
 from partialmetric.cli import main
 from partialmetric.core import MAX_DEN_BITS
 from partialmetric.catalog import get_entry
-from partialmetric.points import parse_point_ids, parse_rational, resolve_point, resolve_points
+from partialmetric.points import (format_point, format_value, parse_point_ids, parse_rational,
+                                  read_ratio, resolve_point, resolve_points)
 
 F = Fraction
 
@@ -447,3 +450,60 @@ class TestBoundedInput:
         deep.write_text("[" * 200_000)
         code, out, err = run(capsys, *[str(deep) if a == "@deep" else a for a in argv])
         assert code == 2 and out == "" and "bad JSON" in err
+
+
+@contextlib.contextmanager
+def digit_limit(digits):
+    """Python's int-to-str digit limit, lowered for the block so a cheap run crosses it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class TestLongValues:
+    """A value past Python's int-to-str digit limit is printed in full, not an exit 2."""
+
+    K = 2200  # the ex5.4.T orbits of 0 and 1/2 meet within 2^-(K+1), 663 digits
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_min_check_reports_its_violation(self, capsys, as_json):
+        den = str(2 ** (self.K + 1))
+        with digit_limit(640):
+            code, out, err = run(capsys, "fixedpoint", "check", "--space", "ex5.4", "--map",
+                                 "ex5.4.T", "--cond", "min", "--k", str(self.K),
+                                 *(["--json"] if as_json else []))
+        assert code == 1 and "error" not in err
+        if as_json:
+            doc = json.loads(out)
+            assert doc["verdict"] == "violated"
+            assert doc["violation"] == {"x": "0/1", "y": "1/2", "lhs": f"1/{den}", "rhs": "0/1"}
+        else:
+            assert out.splitlines()[1] == f"  violated at (0/1, 1/2): 1/{den} > 0"
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_iterate_reports_an_exhausted_budget(self, capsys, as_json):
+        den = 2 ** self.K
+        last = f"{den - 1}/{den}"
+        with digit_limit(640):
+            code, out, err = run(capsys, "fixedpoint", "iterate", "--space", "ex5.4", "--map",
+                                 "ex5.4.T", "--from", "0/1", "--tol", "0", "--budget",
+                                 str(self.K), *(["--json"] if as_json else []))
+        assert code == 1 and "error" not in err
+        if as_json:
+            doc = json.loads(out)
+            assert doc["outcome"] == "budget_exhausted" and doc["iterates"][-1] == last
+        else:
+            assert out == f"outcome: budget_exhausted after {self.K} steps\n"
+
+    @pytest.mark.parametrize("value", [F(0), F(-3), F(7, 2), F(-1, 3), F(10**60 + 1, 3)])
+    def test_values_print_as_fractions_do(self, value):
+        assert format_value(value) == str(value)
+        assert format_point(value) == f"{value.numerator}/{value.denominator}"
+
+    def test_over_long_input_is_still_refused(self):
+        with digit_limit(640):
+            with pytest.raises(ValueError, match="not a rational"):
+                read_ratio("9" * 700)

@@ -158,7 +158,7 @@ class TestBottomAndDiameter:
         assert rho_of(sp) == F(5)
 
     def test_ex56_truncation_rho_differs_from_declared(self):
-        trunc = catalog_space("ex5.6").finite_sample((F(1, 2), F(1, 3), F(1, 4)))
+        trunc = FinitePMSpace.from_function((F(1, 2), F(1, 3), F(1, 4)), catalog_space("ex5.6").p)
         assert rho_of(trunc) == F(1, 4)
         assert catalog_space("ex5.6").declared_rho_p == 0
 
@@ -168,12 +168,13 @@ class TestBottomAndDiameter:
         assert bottom_set(sp) == ("a",)
 
     def test_ex34_bottom(self):
-        trunc = catalog_space("ex3.4").finite_sample((F(-7), F(-6), F(-5), F(0), F(1)))
+        trunc = FinitePMSpace.from_function((F(-7), F(-6), F(-5), F(0), F(1)),
+                                             catalog_space("ex3.4").p)
         assert bottom_set(trunc) == (F(-5),)
 
     def test_ex54_grid_bottom(self):
-        trunc = catalog_space("ex5.4").finite_sample(
-            (F(0), F(1, 2), F(1), F(2), F(5, 2), F(3)))
+        trunc = FinitePMSpace.from_function((F(0), F(1, 2), F(1), F(2), F(5, 2), F(3)),
+                                             catalog_space("ex5.4").p)
         assert bottom_set(trunc) == (F(0), F(1, 2), F(1))
 
     def test_metric_space_bottom_is_everything(self):

@@ -1,6 +1,8 @@
 """Condition checkers, iteration traces, bottom-set reduction, enumeration."""
 
 import functools
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from partialmetric import (
     SizeLimitError,
     bottom_set,
     catalog_map,
+    catalog_names,
     catalog_space,
     check_condition_max,
     check_condition_min,
@@ -30,7 +33,9 @@ from partialmetric import (
     solve_on_bottom,
 )
 from partialmetric.catalog import BottomDecl, CatalogSpace
-from partialmetric.fixedpoint import DEFAULT_ALPHA_GRID
+from partialmetric.fixedpoint import DEFAULT_ALPHA_GRID, ConditionViolation
+
+from oracles import condition_min_by_loop
 
 F = Fraction
 
@@ -119,6 +124,34 @@ class TestMinCondition:
         sp = catalog_space("ex5.8")
         with pytest.raises(ValueError):
             check_condition_min(sp, MapSpec.constant("a"), 0)
+
+    def test_settled_and_repeating_pairs_stop_early(self):
+        sp = catalog_space("ex5.8")
+        start = time.monotonic()
+        held = check_condition_min(sp, MapSpec.constant("a"), 10**9)
+        broken = check_condition_min(sp, MapSpec.constant("b"), 10**9)
+        assert time.monotonic() - start < 1
+        assert held.ok and held.pairs_checked == 3
+        assert broken.violation == ConditionViolation("a", "a", F(1), F(0))
+
+    def test_matches_the_plain_loop(self):
+        cases = []
+        for name in catalog_names():
+            entry = get_entry(name)
+            pts = entry.space.canonical_sample
+            consts = [MapSpec.constant(z) for z in dict.fromkeys((pts[0], pts[-1]))]
+            cases.append((entry.space, list(entry.maps) + consts))
+        for n in (1, 2, 3):
+            for seed in range(3):
+                sp = random_pm_space(seed, n)
+                cases.append((sp, [MapSpec.from_table("t", dict(zip(sp.points, images)))
+                                   for images in itertools.product(sp.points, repeat=n)]))
+        for sp, maps in cases:
+            n = len(sp.canonical_sample)
+            for T in maps:
+                for k in sorted({1, 2, 3, n * n, 50}):
+                    assert check_condition_min(sp, T, k) == condition_min_by_loop(sp, T, k), \
+                        (sp, T.name, k)
 
 
 class TestRunParameters:

@@ -81,7 +81,7 @@ class TestMetadataErrors:
         table = catalog_space("ex5.8").finite_sample()
         assert not constant_map_ruled_out(table, "a")
         assert constant_map_ruled_out(table, "b")
-        trunc = catalog_space("ex5.6").finite_sample((F(1, 2), F(1, 3), F(1, 4)))
+        trunc = FinitePMSpace.from_function((F(1, 2), F(1, 3), F(1, 4)), catalog_space("ex5.6").p)
         # against the table's own least self-distance 1/4, not the declared 0
         assert not constant_map_ruled_out(trunc, F(1, 4))
         assert constant_map_ruled_out(trunc, F(1, 3))

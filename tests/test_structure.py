@@ -40,8 +40,7 @@ def test_no_kind_tag(cls):
 
 
 def test_reports_serialize_by_field_name():
-    # Record.to_dict writes each field under its name; SpecializationOrder's
-    # key "dominates" is also its method's name, so it keeps its own.
+    # Record.to_dict writes each field under its name, and no report writes its own.
     own = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -49,4 +48,4 @@ def test_reports_serialize_by_field_name():
                     isinstance(item, ast.FunctionDef) and item.name == "to_dict"
                     for item in node.body):
                 own.append(f"{path.stem}.{node.name}")
-    assert sorted(own) == ["analysis.SpecializationOrder", "points.Record"]
+    assert own == ["points.Record"]
