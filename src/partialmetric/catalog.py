@@ -26,7 +26,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 from .analysis import SequenceSpec
 from .core import BottomDecl, FinitePMSpace, check_axioms
 from .errors import CatalogKeyError, DomainError, UnsupportedSequenceError
-from .points import FSet, Point, format_point, resolve_point
+from .points import FSet, Point, format_point, read_points
 
 F = Fraction
 
@@ -484,10 +484,10 @@ def catalog_map(name: str, points: Sequence[Point] = ()) -> MapSpec:
     """Look up a map declared on a catalog entry, or "const.<point id>".
 
     The id after "const." is resolved against ``points`` (see
-    :func:`resolve_point`), so it can name any point those hold.
+    :func:`read_points`), so it can name any point those hold.
     """
     if name.startswith("const."):
-        return MapSpec.constant(resolve_point(points, name[len("const."):]), name=name)
+        return MapSpec.constant(read_points([name[len("const."):]], points)[0], name=name)
     return _named((T for entry in _ENTRIES.values() for T in entry.maps), name)
 
 

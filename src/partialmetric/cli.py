@@ -9,7 +9,6 @@ human-readable chatter to stderr; without it, text goes to stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -52,19 +51,17 @@ from .fixedpoint import (
     iterate,
     least_factor,
 )
-from .points import (format_point, format_value, parse_rational, read_json, resolve_point,
-                     resolve_points, to_json)
+from .points import (format_point, format_value, parse_rational, read_json, read_list,
+                     read_points, write_json)
 from .properties import property_run
 
 
-def _emit(doc: dict, text_lines: list[str], as_json: bool) -> None:
+def _emit(report, text_lines: list[str], as_json: bool) -> None:
+    """Print the report's JSON under --json, with the text lines on stderr; else the lines."""
     if as_json:
-        print(json.dumps(doc, indent=2))
-        for line in text_lines:
-            print(line, file=sys.stderr)
-    else:
-        for line in text_lines:
-            print(line)
+        print(write_json(report))
+    for line in text_lines:
+        print(line, file=sys.stderr if as_json else sys.stdout)
 
 
 def _resolve_space(arg: str) -> tuple[Optional[CatalogEntry], Union[FinitePMSpace, CatalogSpace]]:
@@ -94,8 +91,7 @@ def _resolve_sequence(arg: str, horizon: Optional[int],
         ids = doc["explicit"]
         if not isinstance(ids, list):
             raise StructureError("'explicit' must be a list of point ids")
-        points = resolve_points(space.canonical_sample, [str(s) for s in ids])
-        return SequenceSpec.explicit(points), eff_horizon
+        return SequenceSpec.explicit(read_points(ids, space.canonical_sample)), eff_horizon
     if "generator" in doc:
         seq = catalog_sequence(str(doc["generator"]))
         file_horizon = doc.get("horizon", DEFAULT_HORIZON)
@@ -114,7 +110,7 @@ def _cmd_axioms(args) -> int:
         lines.append(f"violated {report.violated_axiom} at "
                      f"({', '.join(format_point(p) for p in report.witness)})")
         lines.extend(f"  {k} = {format_value(v)}" for k, v in report.values.items())
-    _emit(report.to_dict(), lines, args.json)
+    _emit(report, lines, args.json)
     return 0 if report.ok else 1
 
 
@@ -127,18 +123,18 @@ def _cmd_analyze(args) -> int:
         ok = rep.verdict == "cauchy_to"
         lines = [f"cauchy: {rep.verdict}"
                  + (f" a={format_value(rep.a)}" if rep.a is not None else "")]
-        _emit(rep.to_dict(), lines, args.json)
+        _emit(rep, lines, args.json)
         return 0 if ok else 1
     if not args.target:
         raise StructureError("plain/proper analysis needs --target")
-    target = resolve_point(space.canonical_sample, args.target)
+    target, = read_points([args.target], space.canonical_sample)
     fn = properly_converges if args.mode == "proper" else converges_to
     rep = fn(space, seq, target, tol=tol, horizon=horizon)
     lines = [f"convergence to {format_point(target)}: {rep.mode}"]
     if rep.certificate:
         cert = rep.certificate
         lines.append(f"  tail={cert.tail_index} gap={format_value(cert.achieved_gap)}")
-    _emit(rep.to_dict(), lines, args.json)
+    _emit(rep, lines, args.json)
     return 0 if rep.ok else 1
 
 
@@ -196,44 +192,44 @@ def _cmd_topology(args) -> int:
     finite = space.finite_sample()
     if args.probe == "separation":
         sep = separation_class(finite)
-        _emit(sep.to_dict(), [f"t0={sep.t0} t1={sep.t1} hausdorff={sep.hausdorff}"], args.json)
+        _emit(sep, [f"t0={sep.t0} t1={sep.t1} hausdorff={sep.hausdorff}"], args.json)
         return 0
     if args.probe == "gdelta":
         gd = gdelta_diagonal(finite)
-        _emit(gd.to_dict(), [f"t1={gd.t1} stabilization={gd.stabilization_n} "
-                             f"diagonal={gd.equals_diagonal}"], args.json)
+        _emit(gd, [f"t1={gd.t1} stabilization={gd.stabilization_n} "
+                   f"diagonal={gd.equals_diagonal}"], args.json)
         return 0
     if args.probe == "order":
         order = specialization_order(finite)
         lines = [f"{format_point(x)} >= {format_point(y)}"
                  for i, x in enumerate(order.points)
                  for j, y in enumerate(order.points) if i != j and order.dominates[i][j]]
-        _emit(order.to_dict(), lines or ["relation is equality"], args.json)
+        _emit(order, lines or ["relation is equality"], args.json)
         return 0
     if args.probe == "maximal":
         hats = maximal_points(finite)
-        lines = ["maximal: " + ", ".join(sorted(format_point(p) for p in hats))]
-        _emit({"maximal": sorted(format_point(p) for p in hats)}, lines, args.json)
+        ids = sorted(format_point(p) for p in hats)
+        _emit({"maximal": ids}, ["maximal: " + ", ".join(ids)], args.json)
         return 0
     if args.probe == "cover":
         centers = ([] if args.centers is None
-                   else resolve_points(finite.points, args.centers.split(",")))
+                   else read_points(read_list(args.centers), finite.points))
         rep = ball_cover_check(finite, centers, _eps(args))
         lines = [f"covers: {rep.covers}" + ("" if rep.covers else f" uncovered={format_point(rep.uncovered)}")]
-        _emit(rep.to_dict(), lines, args.json)
+        _emit(rep, lines, args.json)
         return 0 if rep.covers else 1
     target = finite  # the probe is "net"
     if args.restrict is not None:
-        target = finite.restrict(resolve_points(finite.points, args.restrict.split(",")))
+        target = finite.restrict(read_points(read_list(args.restrict), finite.points))
     net = totally_bounded_at(target, _eps(args))
     lines = [f"net size {net.size}: " + ", ".join(format_point(p) for p in net.centers)]
-    _emit(net.to_dict(), lines, args.json)
+    _emit(net, lines, args.json)
     return 0
 
 
 def _alpha_grid(args) -> Sequence[Fraction]:
     return (DEFAULT_ALPHA_GRID if args.alpha_grid is None
-            else [parse_rational(s) for s in args.alpha_grid.split(",")])
+            else [parse_rational(s) for s in read_list(args.alpha_grid)])
 
 
 # --cond -> (checker, the parameter flag `check` reads, the one `enumerate` reads).
@@ -272,12 +268,12 @@ def _cmd_fixedpoint(args) -> int:
             v = rep.violation
             lines.append(f"  violated at ({format_point(v.x)}, {format_point(v.y)}): "
                          f"{format_value(v.lhs)} > {format_value(v.rhs)}")
-        _emit(rep.to_dict(), lines, args.json)
+        _emit(rep, lines, args.json)
         return 0 if rep.ok else 1
     if args.action == "iterate":
         if not args.start:
             raise StructureError("fixedpoint iterate needs --from")
-        x0 = resolve_point(space.canonical_sample, args.start)
+        x0, = read_points([args.start], space.canonical_sample)
         tol = DEFAULT_TOL if args.tol is None else parse_rational(args.tol)
         known = entry.known_fixed_points if entry else ()
         budget = DEFAULT_BUDGET if args.budget is None else args.budget
@@ -287,7 +283,7 @@ def _cmd_fixedpoint(args) -> int:
             lines.append(f"fixed point {format_point(tr.fixed_point)}")
         if tr.cauchy_value is not None:
             lines.append(f"settled pairwise value near {format_value(tr.cauchy_value)}")
-        _emit(tr.to_dict(), lines, args.json)
+        _emit(tr, lines, args.json)
         return 0 if tr.ok else 1
     finite = space.finite_sample()
     if args.action == "enumerate":
@@ -297,7 +293,7 @@ def _cmd_fixedpoint(args) -> int:
         return 0
     survivors = constant_map_bottom(finite, _alpha_grid(args))  # the action is "bottom"
     lines = ["constant-map bottom: " + ", ".join(format_point(p) for p in survivors)]
-    _emit({"bottom": to_json(survivors)}, lines, args.json)
+    _emit({"bottom": survivors}, lines, args.json)
     return 0
 
 
@@ -309,20 +305,20 @@ def _cmd_catalog(args) -> int:
     if args.action == "export":
         if not args.name:
             raise StructureError("catalog export needs a space id")
-        _emit(get_entry(args.name).space.finite_sample().to_json_dict(), [], True)
+        _emit(get_entry(args.name).space.finite_sample(), [], True)
         return 0
     names = None if args.all or not args.name else [args.name]  # the action is "verify"
     suite = run_fact_suite(names)
     lines = [f"{'PASS' if r.ok else 'FAIL'} {r.fact_id}: {r.details}" for r in suite.results]
     lines.append(f"{suite.passed} passed, {suite.failed} failed")
-    _emit(suite.to_dict(), lines, args.json)
+    _emit(suite, lines, args.json)
     return 0 if suite.ok else 1
 
 
 def _cmd_random(args) -> int:
     if args.action == "generate":
         space = random_pm_space(args.seed, args.n, zero_f=args.zero_f)
-        _emit(space.to_json_dict(), [f"seed {args.seed}, {args.n} points"], True)
+        _emit(space, [f"seed {args.seed}, {args.n} points"], True)
         return 0
     lo, _, hi = args.seeds.partition(":")  # the action is "property-run"
     seeds = range(int(lo), int(hi)) if hi else range(int(lo))
@@ -332,7 +328,7 @@ def _cmd_random(args) -> int:
     lines = [f"seeds {seeds.start}..{seeds.stop - 1}, {result.spaces_checked} spaces, "
              f"{len(result.failures)} failures, {result.elapsed_seconds:.2f}s"]
     lines += [f"  seed {f.seed} (n={f.n}): {f.detail}" for f in result.failures]
-    _emit(result.to_dict(), lines, args.json)
+    _emit(result, lines, args.json)
     return 0 if result.ok else 1
 
 

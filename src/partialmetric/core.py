@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import kernels
 from .errors import DomainError, MetadataError, StructureError
-from .points import Point, Record, format_point, parse_point_ids, read_json, read_ratio, to_json
+from .points import Point, Record, format_point, read_json, read_points, read_ratio, to_json
 
 AXIOM_NAMES = {1: "P1", 2: "P2", 3: "P3", 4: "P4"}
 
@@ -209,7 +209,7 @@ class FinitePMSpace:
             raise StructureError(f"space JSON needs 'points' and 'p': {exc}") from exc
         if not isinstance(ids, list):
             raise StructureError("'points' must be a list of point ids")
-        points = parse_point_ids([str(s) for s in ids])
+        points = read_points(ids)
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise StructureError("'p' must be a list of rows, each a list")
         return cls(points, [[str(v) for v in row] for row in rows])

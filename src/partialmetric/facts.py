@@ -51,7 +51,7 @@ from .fixedpoint import (
     least_factor,
     solve_on_bottom,
 )
-from .points import Record, format_point, resolve_point
+from .points import Record, format_point, read_points
 
 F = Fraction
 
@@ -120,7 +120,7 @@ def _ex32_bottom_is_empty_set(e: CatalogEntry) -> tuple[bool, str]:
 
 
 def _ex32_alt_converges(e: CatalogEntry) -> tuple[bool, str]:
-    target = resolve_point(e.space.canonical_sample, "{a,b}")
+    target, = read_points(["{a,b}"], e.space.canonical_sample)
     rep = converges_to(e.space, e.sequence("ex3.2.alt"), target, tol=F(0))
     return (rep.mode == "converges" and rep.exact
             and rep.certificate is not None and rep.certificate.achieved_gap == 0,

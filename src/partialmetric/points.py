@@ -1,19 +1,16 @@
-"""Point values and their canonical string ids.
+"""Point values, their canonical string ids, and the text boundary.
 
 Three kinds of domain elements occur across the spaces in this package:
 exact rationals (``fractions.Fraction``), symbolic tags (plain strings),
 and subsets of a declared finite ground set (``FSet``, a bitmask).
-Equality is decidable for all three, and every point has a canonical id
-used in JSON tables and on the command line.
+Equality is decidable for all three, and every point has a canonical id.
 
-This module is the only one that knows the text form of exact values:
-it reads rationals, point ids and JSON documents, and writes every
-report's JSON through :func:`to_json` and every value the command line
-prints through :func:`format_value`, at any length. Rational text is
-read by one regular expression, ``Fraction``'s own grammar less digit
-separators and exponents, straight into a pair of ints
-(:func:`read_ratio`). A table's constructor brings such pairs to one
-denominator, and :func:`parse_rational` makes a ``Fraction`` of one pair.
+This module alone turns text into values and back. :func:`read_points`
+reads every point id, in files and on the command line, :func:`read_list`
+splits an id list, and :func:`read_ratio` reads rational text by one
+regular expression (``Fraction``'s grammar less digit separators and
+exponents). :func:`write_json` writes every report's and table's JSON, and
+:func:`format_value` every value the command line prints, at any length.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ import re
 from dataclasses import dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import StructureError
 
@@ -41,16 +38,11 @@ class FSet:
 
     @classmethod
     def of(cls, ground: Sequence[str], *members: str) -> "FSet":
-        mask = 0
-        for m in members:
-            mask |= 1 << tuple(ground).index(m)
-        return cls(tuple(ground), mask)
+        ground = tuple(ground)
+        return cls(ground, sum({1 << ground.index(m) for m in members}))
 
     def union_size(self, other: "FSet") -> int:
         return (self.mask | other.mask).bit_count()
-
-    def size(self) -> int:
-        return self.mask.bit_count()
 
     def members(self) -> tuple[str, ...]:
         return tuple(g for i, g in enumerate(self.ground) if self.mask >> i & 1)
@@ -120,44 +112,48 @@ def format_value(value: Fraction) -> str:
 
 
 def format_point(point: Point) -> str:
-    if isinstance(point, Fraction):
-        return format_rational(point)
-    return str(point)
+    """A point's canonical id: a rational as "num/den", a set as "{a,b}", a tag as itself."""
+    return format_rational(point) if isinstance(point, Fraction) else str(point)
 
 
-def _brace_members(text: str) -> tuple[str, ...]:
+def _members(text: str) -> Optional[tuple[str, ...]]:
+    """The stripped members of a braced id such as "{b, a}"; None for any other id."""
+    if not (text.startswith("{") and text.endswith("}")):
+        return None
     inner = text[1:-1].strip()
     return tuple(part.strip() for part in inner.split(",")) if inner else ()
 
 
-def parse_point_ids(ids: Sequence[str]) -> tuple[Point, ...]:
-    """Decode JSON point ids.
+def read_points(texts: Sequence, points: Sequence[Point] = ()) -> list[Point]:
+    """Read point ids (strings, or JSON numbers by their text) in O(len(points) + len(texts)).
 
-    "{a,b}" is a subset of the ground set collected from all braced ids,
-    anything that parses as a rational becomes a ``Fraction``, and the
-    rest are kept as symbolic tags.
+    An id that spells one of ``points`` names that point. Any other braced
+    id, in any member order or spacing, is a set over the ground of the sets
+    among ``points``, or where there are none (a table file) over every
+    member the braced ``texts`` name; with a member outside the ground it is
+    a tag. A rational id is a ``Fraction``, and the rest are tags.
     """
-    braced = [s for s in ids if s.startswith("{") and s.endswith("}")]
-    ground: tuple[str, ...] = ()
-    if braced:
-        ground = tuple(sorted({e for s in braced for e in _brace_members(s)}))
-    return tuple(FSet.of(ground, *_brace_members(s)) if s.startswith("{") and s.endswith("}")
-                 else _point_of(s) for s in ids)
-
-
-def resolve_points(points: Sequence[Point], texts: Sequence[str]) -> list[Point]:
-    """Match command-line ids against a space's points, else parse them.
-
-    The points' ids are formatted once, so the cost is O(len(points) +
-    len(texts)) id formats and lookups.
-    """
+    for t in texts:
+        if isinstance(t, bool) or not isinstance(t, (str, int, float)):
+            raise StructureError(f"a point id is a string or a number, not {json.dumps(t)}")
+    texts = [str(t) for t in texts]
     by_id = {format_point(p): p for p in points}
-    return [by_id[text] if text in by_id else _point_of(text) for text in texts]
+    braced = {t: m for t in texts if (m := _members(t)) is not None}
+    ground = next((p.ground for p in points if isinstance(p, FSet)),
+                  tuple(sorted({m for members in braced.values() for m in members})))
+    return [by_id[t] if t in by_id
+            else FSet.of(ground, *braced[t]) if t in braced and set(braced[t]).issubset(ground)
+            else _point_of(t) for t in texts]
 
 
-def resolve_point(points: Sequence[Point], text: str) -> Point:
-    """Match one command-line id against a space's points, else parse it."""
-    return resolve_points(points, [text])[0]
+# A comma followed by a closing brace before any opening one is inside a set id;
+# so a list without braces splits as ``str.split(",")`` does.
+_LIST_COMMA = re.compile(r",(?![^{]*})")
+
+
+def read_list(text: str) -> list[str]:
+    """Split an id list at its commas, but not inside a set id: "{a,b},{}" is two ids."""
+    return _LIST_COMMA.split(text)
 
 
 def _point_of(text: str) -> Point:
@@ -182,7 +178,8 @@ def read_json(text: str):
 
 def to_json(value):
     """The JSON form of a value: rationals as "num/den", points as their ids,
-    tuples and lists as lists, dict values mapped, reports as their ``to_dict()``."""
+    tuples and lists as lists, dict values mapped, reports as their ``to_dict()``
+    and tables as their ``to_json_dict()``."""
     if isinstance(value, (Fraction, FSet)):
         return format_point(value)
     if isinstance(value, (tuple, list)):
@@ -191,7 +188,14 @@ def to_json(value):
         return {k: to_json(v) for k, v in value.items()}
     if hasattr(value, "to_dict"):
         return value.to_dict()
+    if hasattr(value, "to_json_dict"):  # a table
+        return value.to_json_dict()
     return value
+
+
+def write_json(value) -> str:
+    """The JSON text of a report, a table or a plain document of them."""
+    return json.dumps(to_json(value), indent=2)
 
 
 class Record:

@@ -13,8 +13,8 @@ from partialmetric import FinitePMSpace
 from partialmetric.cli import main
 from partialmetric.core import MAX_DEN_BITS
 from partialmetric.catalog import get_entry
-from partialmetric.points import (format_point, format_value, parse_point_ids, parse_rational,
-                                  read_ratio, resolve_point, resolve_points)
+from partialmetric.points import (format_point, format_value, parse_rational, read_list,
+                                  read_points, read_ratio)
 
 F = Fraction
 
@@ -58,6 +58,13 @@ class TestAxioms:
         bad.write_text(json.dumps({"points": ids, "p": [["0/1", "1/1"], ["1/1", "0/1"]]}))
         code, _, err = run(capsys, "axioms", "--space", str(bad))
         assert code == 2 and "points" in err
+
+    @pytest.mark.parametrize("ids", [[None, "b"], ["a", True], [["a"], "b"], [{"a": 1}, "b"]])
+    def test_point_id_neither_string_nor_number_exits_two(self, capsys, tmp_path, ids):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"points": ids, "p": [["0/1", "1/1"], ["1/1", "0/1"]]}))
+        code, out, err = run(capsys, "axioms", "--space", str(bad))
+        assert code == 2 and out == "" and "a point id is a string or a number" in err
 
     def test_unknown_space_exits_two(self, capsys):
         code, _, err = run(capsys, "axioms", "--space", "ex9.1")
@@ -121,7 +128,8 @@ class TestAnalyze:
     @pytest.mark.parametrize("doc", [5, {"explicit": 5}, {"generator": "ex4.8.naturals",
                                                           "horizon": [1]},
                                      {"generator": "ex4.8.naturals", "horizon": 64.9},
-                                     {"generator": "ex4.8.naturals", "horizon": True}])
+                                     {"generator": "ex4.8.naturals", "horizon": True},
+                                     {"explicit": [None]}, {"explicit": ["0/1", True]}])
     def test_malformed_sequence_file_exits_two(self, capsys, tmp_path, doc):
         seq = tmp_path / "seq.json"
         seq.write_text(json.dumps(doc))
@@ -169,13 +177,63 @@ class TestTopology:
         assert code == 0 and "net size 3" in out
 
 
+# A set id names one point in any member order or spacing, wherever an id is
+# read, and keeps its commas in an id list: each command, with the id (or the
+# sequence file) appended, gives one output and exit code for all its spellings.
+SET_ID_SPELLINGS = [
+    (["analyze", "seq", "--seq", "ex3.2.alt", "--target"], ["{a,b}", "{b,a}", "{ b , a }"], 0),
+    (["analyze", "seq", "--target", "{a,b}", "--seq"],
+     [{"explicit": ["{a,b}"] * 3}, {"explicit": ["{b,a}"] * 3}, {"explicit": ["{ a,b}"] * 3}], 0),
+    (["fixedpoint", "check", "--map"], ["const.{a,b}", "const.{b,a}"], 1),
+    (["fixedpoint", "iterate", "--map", "const.{a,b}", "--from"], ["{a,b}", "{ b , a }"], 0),
+    (["topology", "cover", "--centers"], ["{a,b,c}", "{c, b,a}", "{a},{a,b,c}"], 0),
+    (["topology", "net", "--restrict"], ["{a,b},{}", "{b,a},{ }", "{},{b ,a}"], 0),
+]
+
+
+class TestSetIds:
+    @pytest.fixture(params=["catalog", "table"])
+    def space(self, request, capsys, tmp_path):
+        """ex3.2, or its exported table with each set id's members reversed: "{b, a}"."""
+        if request.param == "catalog":
+            return "ex3.2"
+        doc = json.loads(run(capsys, "catalog", "export", "ex3.2")[1])
+        doc["points"] = ["{" + ", ".join(reversed(i[1:-1].split(","))) + "}"
+                         for i in doc["points"]]
+        table = tmp_path / "ex32.json"
+        table.write_text(json.dumps(doc))
+        return str(table)
+
+    @pytest.mark.parametrize("argv, spellings, code", SET_ID_SPELLINGS,
+                             ids=["target", "seq-file", "map", "from", "centers", "restrict"])
+    def test_every_spelling_of_a_set_id_reads_the_same(self, capsys, tmp_path, space,
+                                                       argv, spellings, code):
+        got = set()
+        for spelling in spellings:
+            if isinstance(spelling, dict):  # a sequence file
+                path = tmp_path / "seq.json"
+                path.write_text(json.dumps(spelling))
+                spelling = str(path)
+            got.add(run(capsys, *argv[:2], "--space", space, *argv[2:], spelling)[:2])
+        assert len(got) == 1 and got.pop()[0] == code
+
+    @pytest.mark.parametrize("text, ids", [("{a,b},{}", ["{a,b}", "{}"]),
+                                           ("{a,b,c}", ["{a,b,c}"]),
+                                           ("x1,x2,,x3", ["x1", "x2", "", "x3"]),
+                                           ("", [""]), ("1/2,{a, b}", ["1/2", "{a, b}"])])
+    def test_id_list_keeps_the_commas_of_a_set_id(self, text, ids):
+        assert read_list(text) == ids
+        if "{" not in text:
+            assert ids == text.split(",")
+
+
 class TestFixedpoint:
     def test_check_violated_exits_one(self, capsys):
         code, out, _ = run(capsys, "fixedpoint", "check", "--space", "ex5.8",
                            "--map", "const.b", "--cond", "max", "--alpha", "1/2")
         assert code == 1 and "violated" in out
 
-    @pytest.mark.parametrize("point, code", [("{}", 0), ("{a}", 1)])
+    @pytest.mark.parametrize("point, code", [("{}", 0), ("{a}", 1), ("{ }", 0), ("{b,a}", 1)])
     def test_constant_map_names_a_set_point(self, capsys, point, code):
         got, out, _ = run(capsys, "fixedpoint", "check", "--space", "ex3.2",
                           "--map", f"const.{point}", "--cond", "max")
@@ -353,20 +411,19 @@ class TestBoundedInput:
                                              ("-1/2", F(-1, 2))])
     def test_rational_forms_still_parse(self, text, value):
         assert parse_rational(text) == value
-        assert parse_point_ids([text]) == (value,)
-        assert resolve_point((), text) == value
+        assert read_points([text]) == [value]
 
     @pytest.mark.parametrize("text", ["1e3", "2E-1", "1/2e3", "1e99999999"])
     def test_exponent_is_no_rational(self, text):
         with pytest.raises(ValueError, match="not a rational"):
             parse_rational(text)
-        assert parse_point_ids([text]) == (text,)
+        assert read_points([text]) == [text]
 
     @pytest.mark.parametrize("text", ["1_000", "1_0/2", "1/2_0", "0.5_0", "_1"])
     def test_digit_separator_is_no_rational(self, text):
         with pytest.raises(ValueError, match="not a rational"):
             parse_rational(text)
-        assert parse_point_ids([text]) == (text,)
+        assert read_points([text]) == [text]
 
     @pytest.mark.parametrize("argv", [
         ["topology", "net", "--space", "apex", "--eps", ""],
@@ -407,9 +464,9 @@ class TestBoundedInput:
         points = get_entry("ex3.2").space.canonical_sample + tuple(F(i, 7) for i in range(150))
         texts = ["{a}", "{a,b,c}", "3/7", "6/14", "x", "1_0"] * 2000
         start = time.monotonic()
-        got = resolve_points(points, texts)
+        got = read_points(texts, points)
         assert time.monotonic() - start < 1  # one id at a time formats 158 ids per text
-        assert got == [resolve_point(points, t) for t in texts[:6]] * 2000
+        assert got == [read_points([t], points)[0] for t in texts[:6]] * 2000
 
     def test_exponent_rational_exits_two_at_once(self, capsys):
         start = time.monotonic()

@@ -327,6 +327,13 @@ class TestJson:
             with pytest.raises(StructureError, match="points"):
                 FinitePMSpace.from_json_dict({"points": ids, "p": rows})
 
+    def test_json_number_id_is_read_by_its_text(self):
+        # so 1e-07, spelled in exponent notation, is a tag
+        sp = FinitePMSpace.from_json(json.dumps({"points": [0.5, 2, 1e-07],
+                                                 "p": [["0", "1", "1"], ["1", "0", "1"],
+                                                       ["1", "1", "0"]]}))
+        assert sp.points == (F(1, 2), F(2), "1e-07")
+
     def test_restrict_preserves_order(self):
         sp = random_pm_space(9, 6)
         sub = sp.restrict([sp.points[4], sp.points[1]])

@@ -5,6 +5,7 @@ import io
 import shlex
 from pathlib import Path
 
+from partialmetric import points
 from partialmetric.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -33,3 +34,19 @@ def test_readme_command_lines_run(tmp_path, monkeypatch):
     for line in lines:
         code, _ = _run(shlex.split(line)[1:])
         assert code in (0, 1), line
+
+
+def test_text_mode_builds_no_json(tmp_path, monkeypatch):
+    # Without --json a report is only its text lines; `catalog export` and
+    # `random generate` print JSON in either mode.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "table.json").write_text(_run(["catalog", "export", "ex3.2"])[1])
+    lines = [shlex.split(line)[1:] for line in _command_lines() if "--json" not in line
+             and not line.startswith(("pm catalog export", "pm random generate"))]
+    before = [_run(argv)[0] for argv in lines]
+
+    def refuse(value):
+        raise AssertionError("text mode built a JSON document")
+
+    monkeypatch.setattr(points, "to_json", refuse)
+    assert [_run(argv)[0] for argv in lines] == before

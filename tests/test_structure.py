@@ -49,3 +49,27 @@ def test_reports_serialize_by_field_name():
                     for item in node.body):
                 own.append(f"{path.stem}.{node.name}")
     assert own == ["points.Record"]
+
+
+def _text_handlers(path: Path) -> list[str]:
+    """Where a module imports json or splits text at commas (``.split(",")``, ``re.split``)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [
+                alias.name for alias in node.names]
+            if "json" in names:
+                found.append(f"import json at {node.lineno}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "split"):
+            comma = (node.args and isinstance(node.args[0], ast.Constant)
+                     and node.args[0].value == ",")
+            if comma or (isinstance(node.func.value, ast.Name) and node.func.value.id == "re"):
+                found.append(f"split at {node.lineno}")
+    return found
+
+
+def test_only_points_reads_and_writes_text():
+    # json and splitting an id list at its commas live in points alone.
+    found = {path.name: _text_handlers(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name for name, where in found.items() if where} == {"points.py"}, found
