@@ -12,6 +12,7 @@ every analyzer refuses a negative tolerance and a horizon below 1.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -390,20 +391,27 @@ class SubsequenceWitness(Record):
     indices: Optional[tuple[int, ...]] = None       # explicit positions otherwise
 
 
+def _most_frequent(terms: Sequence[Point]) -> Point:
+    """The pigeonhole value: the most frequent term, the earliest of a tie (one pass)."""
+    return Counter(terms).most_common(1)[0][0]
+
+
 def seq_compact_witness(space: FinitePMSpace, seq: SequenceSpec,
                         tol: Fraction = DEFAULT_TOL,
                         horizon: int = DEFAULT_HORIZON) -> SubsequenceWitness:
     """A convergent subsequence: the whole sequence when a limit is exact or
-    certified, otherwise a constant subsequence obtained by pigeonhole."""
+    certified, otherwise a constant subsequence obtained by pigeonhole.
+
+    An exact limit is the first point of :func:`limit_set` in space order,
+    so a cycle term outside the space is a ``DomainError`` here too.
+    """
     check_tolerance(tol)
     cycle = exact_cycle(seq, horizon)
     if cycle is not None:
-        exact_limits = [t for t in space.points
-                        if all(space.p(y, t) == space.p(t, t) for y in cycle)]
-        if exact_limits:
-            return SubsequenceWitness("full", exact_limits[0], True)
-        counts = {v: cycle.count(v) for v in cycle}
-        v = max(cycle, key=lambda y: (counts[y], -cycle.index(y)))
+        limits = limit_set(space, seq, horizon)
+        if limits:
+            return SubsequenceWitness("full", next(t for t in space.points if t in limits), True)
+        v = _most_frequent(cycle)
         if seq.cycle:
             start = len(seq.prefix) + cycle.index(v) + 1
             return SubsequenceWitness("constant", v, True, progression=(start, len(cycle)))
@@ -414,7 +422,6 @@ def seq_compact_witness(space: FinitePMSpace, seq: SequenceSpec,
         if converges_to(space, seq, t, tol, horizon).mode == "converges":
             return SubsequenceWitness("full", t, False)
     pts = seq.terms(horizon)
-    counts = {v: pts.count(v) for v in set(pts)}
-    v = max(pts, key=lambda y: (counts[y], -pts.index(y)))
+    v = _most_frequent(pts)
     return SubsequenceWitness("constant", v, True,
                               indices=tuple(i + 1 for i, y in enumerate(pts) if y == v))

@@ -12,7 +12,7 @@ import argparse
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .analysis import (
     DEFAULT_HORIZON,
@@ -166,7 +166,7 @@ READS = {
     "fixedpoint check": ("--map", "--cond"),
     "fixedpoint iterate": ("--map", "--from", "--tol", "--budget"),
     "fixedpoint enumerate": ("--cond",),
-    "fixedpoint bottom": ("--alpha-grid",),
+    "fixedpoint bottom": (),
 }
 
 
@@ -227,11 +227,6 @@ def _cmd_topology(args) -> int:
     return 0
 
 
-def _alpha_grid(args) -> Sequence[Fraction]:
-    return (DEFAULT_ALPHA_GRID if args.alpha_grid is None
-            else [parse_rational(s) for s in read_list(args.alpha_grid)])
-
-
 # --cond -> (checker, the parameter flag `check` reads, the one `enumerate` reads).
 CONDITIONS = {
     "contraction": (check_contraction, "--alpha", "--alpha"),
@@ -243,7 +238,9 @@ CONDITIONS = {
 # the least --alpha-grid factor.
 PARAMETERS = {
     "--alpha": lambda args: DEFAULT_ALPHA if args.alpha is None else parse_rational(args.alpha),
-    "--alpha-grid": lambda args: least_factor(_alpha_grid(args)),
+    "--alpha-grid": lambda args: least_factor(
+        DEFAULT_ALPHA_GRID if args.alpha_grid is None
+        else [parse_rational(s) for s in read_list(args.alpha_grid)]),
     "--k": lambda args: 1 if args.k is None else args.k,
 }
 
@@ -291,7 +288,7 @@ def _cmd_fixedpoint(args) -> int:
         lines = [f"{len(survivors)} surviving maps"] + [T.name for T in survivors]
         _emit({"count": len(survivors), "maps": [T.name for T in survivors]}, lines, args.json)
         return 0
-    survivors = constant_map_bottom(finite, _alpha_grid(args))  # the action is "bottom"
+    survivors = constant_map_bottom(finite)  # the action is "bottom"
     lines = ["constant-map bottom: " + ", ".join(format_point(p) for p in survivors)]
     _emit({"bottom": survivors}, lines, args.json)
     return 0

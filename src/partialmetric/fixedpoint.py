@@ -319,30 +319,18 @@ def least_factor(alphas: Sequence[Fraction]) -> Fraction:
     return min(alphas)
 
 
-def constant_map_bottom(space: FinitePMSpace,
-                        alphas: Sequence[Fraction] = DEFAULT_ALPHA_GRID) -> tuple[Point, ...]:
-    """Points whose constant map satisfies the max-condition at every grid factor.
+def constant_map_bottom(space: FinitePMSpace) -> tuple[Point, ...]:
+    """Points whose constant map satisfies the max-condition: the bottom set.
 
-    Only the grid's least factor a/b is checked (see :func:`least_factor`);
-    an empty grid keeps every point. The constant map at z has the left
-    side p(z,z) at every pair, so z passes iff b p(z,z) is at most the
-    least right side, the minimum of max{a p(x,y), b p(x,x), b p(y,y)}
-    over the pairs x <= y of the table, taken once on ``space.num``. That
-    is the condition's own test, not the bottom-set theorem: the result
-    must coincide with the bottom set and that is rechecked. Cost:
-    O(n^2) plus one pass over the grid, whatever the table values.
+    The constant map at z has the left side p(z,z) at every pair. Let
+    rho be the least self-distance and a/b < 1 the factor. Scaled by b,
+    every right side max{a p(x,y), b p(x,x), b p(y,y)} is at least
+    b rho, and the diagonal pair (x, x) of a bottom point x has exactly
+    b rho, since a rho <= b rho on a nonnegative table. So z passes iff
+    p(z,z) = rho, at every factor and on every table, valid or not: the
+    result is :func:`core.bottom_set`, in table order.
     """
-    m, n = space.num, len(space)
-    survivors = list(space.points)
-    if alphas:
-        least = Fraction(least_factor(alphas))
-        a, b = least.numerator, least.denominator
-        floor = min(max(a * row[j], b * row[i], b * m[j][j])
-                    for i, row in enumerate(m) for j in range(i, n))
-        survivors = [z for i, z in enumerate(space.points) if b * m[i][i] <= floor]
-    if set(survivors) != set(bottom_set(space)):
-        raise RuntimeError("constant-map survivors differ from the bottom set")
-    return tuple(survivors)
+    return bottom_set(space)
 
 
 def constant_map_ruled_out(space, z: Point) -> bool:

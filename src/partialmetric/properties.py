@@ -3,11 +3,12 @@
 Every generated table must pass the axiom scan, its three derived
 metrics must be true metrics, the specialization relation must be a
 partial order whose maximal balls cover the space, the five finite forms
-of "Hausdorff, hence metrizable" must agree, the constant-map survivors
-must be exactly the bottom set, and every enumerated max-condition
-survivor must keep the bottom set invariant and contract under the
-shifted metric. The topology probes compute; each invariant they rest
-on is checked here, once.
+of "Hausdorff, hence metrizable" must agree, and every enumerated
+max-condition survivor must keep the bottom set invariant and contract
+under the shifted metric. The topology probes compute; each invariant
+they rest on is checked here, once. The constant-map bottom is the
+bottom set by the theorem that ``fixedpoint.constant_map_bottom``
+states, so no check compares the two.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .core import (
     p_m_matrix,
     separation_class,
 )
-from .fixedpoint import check_condition_max, constant_map_bottom, exhaustive_condition_maps
+from .fixedpoint import check_condition_max, exhaustive_condition_maps
 from .points import Record
 
 ENUMERATION_LIMIT = 4
@@ -138,11 +139,6 @@ def check_space_properties(space: FinitePMSpace) -> list[str]:
     if covered != set(space.points):
         problems.append(f"maximal cover: maximal balls fail to cover at radius {eps}")
     problems += _metrizability_problems(space, balls, hats)
-
-    try:
-        constant_map_bottom(space)
-    except RuntimeError as exc:
-        problems.append(f"constant-map bottom: {exc}")
 
     if n <= ENUMERATION_LIMIT:
         pts, at_bottom = space.points, [space.index(z) for z in bottom]

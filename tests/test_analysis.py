@@ -6,6 +6,7 @@ import pytest
 
 from partialmetric import (
     AxiomFailureError,
+    DomainError,
     FinitePMSpace,
     SequenceSpec,
     UnsupportedSequenceError,
@@ -314,6 +315,38 @@ class TestSeqCompactWitness:
         sp = catalog_space("ex5.8").finite_sample()
         witness = seq_compact_witness(sp, SequenceSpec.periodic(("b",)))
         assert witness.kind == "full"
+
+    def test_exact_limit_is_the_first_of_the_limit_set(self):
+        # a >= b, so the constant sequence at b converges to both
+        sp = FinitePMSpace(["a", "b"], [["1", "1"], ["1", "0"]])
+        seq = SequenceSpec.periodic(("b",))
+        assert limit_set(sp, seq) == {"a", "b"}
+        assert seq_compact_witness(sp, seq).limit == "a"
+
+    def test_cycle_term_outside_the_space_is_refused(self):
+        sp = FinitePMSpace(ABC, [[0, 2, 3], [2, 1, 3], [3, 3, 2]])
+        seq = SequenceSpec.periodic(("b", "c", "zzz"))
+        with pytest.raises(DomainError, match="point zzz is not in the space"):
+            limit_set(sp, seq)
+        with pytest.raises(DomainError, match="point zzz is not in the space"):
+            seq_compact_witness(sp, seq)
+
+    @pytest.mark.parametrize("terms, limit, progression", [
+        (("b", "a", "a", "b"), "b", (1, 4)),
+        (("c", "a", "b", "a", "b"), "a", (2, 5)),
+    ])
+    def test_pigeonhole_takes_the_earliest_of_a_tie(self, terms, limit, progression):
+        sp = FinitePMSpace(ABC, [[1, 2, 2], [2, 1, 2], [2, 2, 1]])
+        witness = seq_compact_witness(sp, SequenceSpec.periodic(terms))
+        assert (witness.kind, witness.limit, witness.progression) == (
+            "constant", limit, progression)
+
+    def test_pigeonhole_on_a_long_explicit_sequence(self):
+        sp = FinitePMSpace(ABC, [[1, 2, 2], [2, 1, 2], [2, 2, 1]])
+        terms = ("c", "a", "b") + ("a", "b") * 4_000 + ("c", "a")
+        witness = seq_compact_witness(sp, SequenceSpec.explicit(terms), horizon=len(terms))
+        assert witness.kind == "constant" and witness.limit == "a"
+        assert witness.indices == tuple(i + 1 for i, y in enumerate(terms) if y == "a")
 
 
 class TestModeEquivalences:

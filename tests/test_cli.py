@@ -266,10 +266,18 @@ class TestFixedpoint:
         code, out, _ = run(capsys, "fixedpoint", "bottom", "--space", "ex5.5")
         assert code == 0 and "1/2" in out and "0/1" not in out
 
+    @pytest.mark.parametrize("grid", ["0,1/2", "", "5"])
+    def test_bottom_refuses_a_factor_grid(self, capsys, grid):
+        code, out, err = run(capsys, "fixedpoint", "bottom", "--space", "ex5.5",
+                             "--alpha-grid", grid)
+        assert code == 2 and out == ""
+        assert err == ("error: fixedpoint bottom reads no factor flag, not --alpha-grid "
+                       "(it reads no option)\n")
+
     # Each message names the flags of the refused flag's kind that the action
     # reads, or "no <kind>"; the topology probes are refused the same way.
     @pytest.mark.parametrize("argv, reads", [
-        (["fixedpoint", "bottom", "--space", "ex5.5", "--alpha", "5"], "--alpha-grid"),
+        (["fixedpoint", "bottom", "--space", "ex5.5", "--alpha", "5"], "no factor flag"),
         (["fixedpoint", "enumerate", "--space", "ex5.8", "--cond", "max", "--alpha", "3/4"],
          "--alpha-grid"),
         (["fixedpoint", "enumerate", "--space", "ex5.8", "--cond", "contraction",
@@ -282,7 +290,7 @@ class TestFixedpoint:
           "--alpha", "1/2"], "--k"),
         (["fixedpoint", "iterate", "--space", "ex5.4", "--map", "ex5.4.T", "--from", "0/1",
           "--alpha", "1/2"], "no factor flag"),
-        (["fixedpoint", "bottom", "--space", "ex5.5", "--k", "3"], "--alpha-grid"),
+        (["fixedpoint", "bottom", "--space", "ex5.5", "--k", "3"], "no factor flag"),
         (["fixedpoint", "iterate", "--space", "ex5.4", "--map", "ex5.4.T", "--from", "0/1",
           "--cond", "min", "--k", "7"], "no factor flag"),
         (["fixedpoint", "check", "--space", "ex5.4", "--map", "ex5.4.T", "--k", "2"], "--alpha"),
@@ -313,7 +321,7 @@ class TestFixedpoint:
          "--cond, --k"),
         (["fixedpoint", "iterate", "--space", "ex5.4", "--map", "ex5.4.T", "--from", "0/1",
           "--alpha", "1/2"], "--map, --from, --tol, --budget"),
-        (["fixedpoint", "bottom", "--space", "ex5.5", "--map", "ex5.4.T"], "--alpha-grid"),
+        (["fixedpoint", "bottom", "--space", "ex5.5", "--map", "ex5.4.T"], "no option"),
         (["topology", "gdelta", "--space", "ex5.8", "--eps", "1/3"], "no option"),
         (["topology", "net", "--space", "apex", "--centers", "x1"], "--eps, --restrict"),
     ])
@@ -430,7 +438,7 @@ class TestBoundedInput:
         ["fixedpoint", "check", "--space", "ex5.8", "--map", "const.b", "--alpha", ""],
         ["fixedpoint", "iterate", "--space", "ex5.4", "--map", "ex5.4.T", "--from", "0/1",
          "--tol", ""],
-        ["fixedpoint", "bottom", "--space", "ex5.5", "--alpha-grid", ""],
+        ["fixedpoint", "enumerate", "--space", "ex5.8", "--cond", "max", "--alpha-grid", ""],
         ["analyze", "seq", "--space", "ex3.4", "--seq", "ex3.4.recip", "--target", "0/1",
          "--tol", ""],
     ], ids=lambda argv: argv[1] + argv[argv.index("") - 1])

@@ -113,7 +113,7 @@ COMMAND_FLAGS = {
     "fixedpoint check": ("--space", "--map", "--cond", "--alpha", "--json"),
     "fixedpoint iterate": ("--space", "--map", "--from", "--tol", "--budget", "--json"),
     "fixedpoint enumerate": ("--space", "--cond", "--alpha-grid", "--json"),
-    "fixedpoint bottom": ("--space", "--alpha-grid", "--json"),
+    "fixedpoint bottom": ("--space", "--json"),
     "catalog": ("--all", "--json"),
     "random": ("--seed", "-n", "--seeds", "--max-n", "--zero-f", "--json"),
 }

@@ -306,6 +306,11 @@ class TestConstantMapBottom:
             sp = random_pm_space(seed, seed % 7 + 1)
             assert set(constant_map_bottom(sp)) == set(bottom_set(sp))
 
+    def test_takes_no_factor_grid(self):
+        # the answer is the same at every factor, so there is no grid to pass
+        with pytest.raises(TypeError):
+            constant_map_bottom(catalog_space("ex5.5").finite_sample(), ())
+
 
 class TestRuledOut:
     def test_ex56_every_sample_point_ruled_out(self):

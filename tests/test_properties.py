@@ -1,8 +1,12 @@
 """The property-suite runner, and the invariants it checks once for the probes."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
-from partialmetric import FinitePMSpace, MapSpec, analysis, core, properties
+from partialmetric import (FinitePMSpace, MapSpec, analysis, bottom_set, core, properties,
+                           random_pm_space)
 from partialmetric.properties import check_space_properties, property_run
 
 # a >= b: b lies in every ball around a, and a is the only maximal point.
@@ -52,3 +56,31 @@ def test_a_planted_survivor_is_reported(monkeypatch, images, reported):
     T = MapSpec.from_table("map:" + ",".join(images), dict(zip("abc", images)))
     monkeypatch.setattr(properties, "exhaustive_condition_maps", lambda *args: [T])
     assert check_space_properties(BOTTOM_PAIR) == reported
+
+
+def _anchored(seed: int, n: int) -> tuple[FinitePMSpace, set]:
+    """A valid table whose bottom set is a random anchor set A, and A.
+
+    With D the metric d/2 of ``random_pm_space(seed, n, zero_f=True)`` and
+    f(x) = D(x, A) + offset, the table D(x,y) + (f(x) + f(y))/2 satisfies
+    the axioms (f is 1-Lipschitz for D) and has p(x,x) = f(x), least
+    exactly on A.
+    """
+    rng = random.Random(f"anchored/{seed}/{n}")
+    metric = random_pm_space(seed, n, zero_f=True)
+    D = metric.matrix
+    anchors = rng.sample(range(n), rng.randint(1, n))
+    offset = Fraction(rng.randint(0, 12), 12)
+    f = [min(D[i][a] for a in anchors) + offset for i in range(n)]
+    table = [[D[i][j] + (f[i] + f[j]) / 2 for j in range(n)] for i in range(n)]
+    return FinitePMSpace(metric.points, table), {metric.points[a] for a in anchors}
+
+
+def test_bottom_sets_between_one_point_and_all_pass():
+    # random_pm_space gives |B| = 1 or |B| = n; these tables fill the range between.
+    spaces = [_anchored(seed, seed % 6 + 2) for seed in range(300)]
+    assert all(set(bottom_set(sp)) == anchors for sp, anchors in spaces)
+    middle = sum(1 < len(anchors) < len(sp) for sp, anchors in spaces)
+    assert middle >= 100, middle
+    problems = {seed: check_space_properties(sp) for seed, (sp, _) in enumerate(spaces)}
+    assert {seed: found for seed, found in problems.items() if found} == {}

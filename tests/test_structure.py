@@ -73,3 +73,16 @@ def test_only_points_reads_and_writes_text():
     # json and splitting an id list at its commas live in points alone.
     found = {path.name: _text_handlers(path) for path in sorted(SRC.glob("*.py"))}
     assert {name for name, where in found.items() if where} == {"points.py"}, found
+
+
+def test_no_module_rechecks_its_own_result():
+    # A library function does not raise RuntimeError on its own result;
+    # the property suite and the tests check the invariants.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
