@@ -101,14 +101,27 @@ def _tail_period(values: Sequence) -> Optional[int]:
     return None
 
 
-def exact_cycle(seq: SequenceSpec, horizon: int = DEFAULT_HORIZON) -> Optional[tuple[Point, ...]]:
-    """The sequence's eventual cycle: declared for periodic specs, else detected."""
+def exact_cycle(space, seq: SequenceSpec,
+                horizon: int = DEFAULT_HORIZON) -> Optional[tuple[Point, ...]]:
+    """The sequence's eventual cycle: declared for periodic specs, else detected.
+
+    This is where a cycle's terms are checked against ``space``, and for a
+    periodic spec its preamble's too: a term outside the space is the
+    space's own ``DomainError``, from every analyzer that reads the cycle.
+    """
     n = seq.effective_horizon(horizon)
     if seq.cycle:
-        return seq.cycle
-    pts = seq.terms(n)
-    d = _tail_period(pts)
-    return tuple(pts[-d:]) if d else None
+        cycle, terms = seq.cycle, seq.prefix + seq.cycle
+    else:
+        pts = seq.terms(n)
+        d = _tail_period(pts)
+        if d is None:
+            return None
+        cycle = terms = tuple(pts[-d:])
+    for y in terms:
+        if not space.contains(y):
+            space.p(y, y)  # raises the space's DomainError naming y
+    return cycle
 
 
 @dataclass(frozen=True)
@@ -131,7 +144,7 @@ def _analyze_gaps(space, seq: SequenceSpec, gap_of: Callable[[Point], Fraction],
     """Certificate/refutation analysis of one gap sequence."""
     n = seq.effective_horizon(horizon)
     if seq.cycle:
-        gaps = [(y, gap_of(y)) for y in seq.cycle]
+        gaps = [(y, gap_of(y)) for y in exact_cycle(space, seq, horizon)]
         bad = tuple((y, g) for y, g in gaps if g > tol)
         if not bad:
             cert = Certificate(len(seq.prefix) + 1, max(g for _, g in gaps))
@@ -241,7 +254,8 @@ def is_cauchy(space, seq: SequenceSpec, tol: Fraction = DEFAULT_TOL,
     check_tolerance(tol)
     n = seq.effective_horizon(horizon)
     if seq.cycle:
-        return _cauchy_over_cycle(space, seq.cycle, tol, horizon, len(seq.prefix) + 1, True)
+        return _cauchy_over_cycle(space, exact_cycle(space, seq, horizon), tol, horizon,
+                                  len(seq.prefix) + 1, True)
     pts = seq.terms(n)
     w = max(1, min(n // 4 if n >= 4 else n, _PAIR_WINDOW))
     tail = pts[n - w:]
@@ -261,11 +275,9 @@ def is_cauchy(space, seq: SequenceSpec, tol: Fraction = DEFAULT_TOL,
 def limit_set(space: FinitePMSpace, seq: SequenceSpec,
               horizon: int = DEFAULT_HORIZON) -> frozenset:
     """All x with exact lim p(x_n, x) = p(x,x), for exactly periodic sequences."""
-    cycle = exact_cycle(seq, horizon)
+    cycle = exact_cycle(space, seq, horizon)
     if cycle is None:
         raise UnsupportedSequenceError("limit_set needs an eventually periodic sequence")
-    for y in cycle:
-        space.index(y)
     return frozenset(
         t for t in space.points
         if all(space.p(y, t) == space.p(t, t) for y in cycle)
@@ -403,10 +415,10 @@ def seq_compact_witness(space: FinitePMSpace, seq: SequenceSpec,
     certified, otherwise a constant subsequence obtained by pigeonhole.
 
     An exact limit is the first point of :func:`limit_set` in space order,
-    so a cycle term outside the space is a ``DomainError`` here too.
+    so a cycle or preamble term outside the space is a ``DomainError`` here too.
     """
     check_tolerance(tol)
-    cycle = exact_cycle(seq, horizon)
+    cycle = exact_cycle(space, seq, horizon)
     if cycle is not None:
         limits = limit_set(space, seq, horizon)
         if limits:

@@ -12,6 +12,7 @@ and passed to its checker (condition_maps_by_sweep). They reuse the
 package's other pieces unchanged. random_pm_space_by_fractions is the
 generator as it once ran, on Fractions, and condition_min_by_loop the
 min-condition check as it once ran: all k iterate steps for every pair.
+table_by_cells reads a table one Fraction per cell, with no memo and no regex.
 """
 
 import itertools
@@ -49,6 +50,17 @@ def axiom_violation(matrix):
                 if matrix[i][j] > matrix[i][k] + matrix[k][j] - matrix[k][k]:
                     return ("P4", i, j, k)
     return None
+
+
+def table_by_cells(matrix):
+    """(num, den) of a table read cell by cell: ``Fraction`` on each entry, then the lcm.
+
+    ``den`` is the least common denominator and ``num`` the rows scaled to it.
+    Only entries in ``points.read_ratio``'s grammar agree with the package.
+    """
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    den = math.lcm(*(q.denominator for row in rows for q in row))
+    return tuple(tuple(q.numerator * (den // q.denominator) for q in row) for row in rows), den
 
 
 def metric_violation(matrix):

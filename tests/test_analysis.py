@@ -331,6 +331,24 @@ class TestSeqCompactWitness:
         with pytest.raises(DomainError, match="point zzz is not in the space"):
             seq_compact_witness(sp, seq)
 
+    @pytest.mark.parametrize("analyze", [
+        limit_set,
+        seq_compact_witness,
+        lambda sp, seq: converges_to(sp, seq, "b"),
+        lambda sp, seq: properly_converges(sp, seq, "b"),
+        is_cauchy,
+    ], ids=["limit_set", "seq_compact_witness", "converges_to", "properly_converges", "is_cauchy"])
+    def test_preamble_term_outside_the_space_is_refused(self, analyze):
+        sp = FinitePMSpace(ABC, [[0, 2, 3], [2, 1, 3], [3, 3, 2]])
+        seq = SequenceSpec.periodic(("b",), preamble=("a", "zzz"))
+        with pytest.raises(DomainError, match="point zzz is not in the space"):
+            analyze(sp, seq)
+
+    def test_preamble_term_outside_a_catalog_space_is_its_own_error(self):
+        seq = SequenceSpec.periodic((F(0),), preamble=("zzz",))
+        with pytest.raises(DomainError, match="point zzz is not in ex5.4"):
+            converges_to(catalog_space("ex5.4"), seq, F(0))
+
     @pytest.mark.parametrize("terms, limit, progression", [
         (("b", "a", "a", "b"), "b", (1, 4)),
         (("c", "a", "b", "a", "b"), "a", (2, 5)),

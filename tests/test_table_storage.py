@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import table_by_cells
 
 from partialmetric import (
     FinitePMSpace,
@@ -38,6 +39,7 @@ from partialmetric import (
     specialization_order,
     totally_bounded_at,
 )
+from partialmetric import core
 from partialmetric.core import MAX_DEN_BITS, ball, d_matrix, p_bar_matrix, p_m_matrix
 from partialmetric.errors import StructureError
 from partialmetric.points import parse_rational, read_ratio
@@ -45,15 +47,18 @@ from partialmetric.points import parse_rational, read_ratio
 F = Fraction
 
 
-def _load_bench_scan():
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_scan.py"
-    spec = importlib.util.spec_from_file_location("bench_scan", path)
+def _load(name, relative):
+    path = Path(__file__).resolve().parent.parent / relative
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up while the class is built
     spec.loader.exec_module(module)
     return module
 
 
-bench_scan = _load_bench_scan()
+bench_scan = _load("bench_scan", "benchmarks/bench_scan.py")
+# The benchmark's table generator, read only: it builds Fractions and never imports partialmetric.
+bench_tables = _load("bench_tables", "perfbench/tables.py")
 PRIMES = bench_scan.WIDE_DENOMINATORS  # the eight largest primes below 2^12
 
 
@@ -226,12 +231,15 @@ def test_read_ratio_reads_text_as_fraction_does(text):
     assert F(num, den) == want == parse_rational(text)
 
 
-@pytest.mark.parametrize("entries, den", [
+UNREDUCED = [
     (("2/4", "0/7", "3/6", "0.50"), 2),
     (("0/7", "0.0", "00/3", "0"), 1),
     (("4/6", "1/9", "0.10", "10/15"), 90),
     (("-0/5", "0.250", "6/8", "12/16"), 4),
-])
+]
+
+
+@pytest.mark.parametrize("entries, den", UNREDUCED)
 def test_unreduced_text_gives_the_least_common_denominator(entries, den):
     a, b, c, d = entries
     sp = FinitePMSpace.from_json(json.dumps({"points": ["x", "y"], "p": [[a, b], [c, d]]}))
@@ -244,3 +252,120 @@ def test_common_denominator_past_the_cap_is_refused():
     assert FinitePMSpace(["x", "y"], [[top, F(1, 2)], [1, 0]]).den.bit_length() == MAX_DEN_BITS
     with pytest.raises(StructureError, match=f"more than {MAX_DEN_BITS} bits"):
         FinitePMSpace(["x", "y"], [[top, F(1, 3)], [1, 0]])
+
+
+def _text_table(rows):
+    return json.dumps({"points": [f"p{i}" for i in range(len(rows))], "p": rows})
+
+
+def _rows(n, edits):
+    """An n x n text table of "1" off the diagonal and "0" on it, with ``edits`` {(i, j): text};
+    an edit (i, None) drops the last entry of row i."""
+    rows = [["0" if i == j else "1" for j in range(n)] for i in range(n)]
+    for (i, j), text in edits.items():
+        if j is None:
+            rows[i].pop()
+        else:
+            rows[i][j] = text
+    return rows
+
+
+# Each table has two faults; the first one met row by row is reported: a row's
+# length, then its first malformed entry in row order, then its sign.
+@pytest.mark.parametrize("edits, message", [
+    ({(0, 2): "x", (5, None): ""}, "not a rational: 'x'"),
+    ({(2, 1): "-1", (2, 4): "y"}, "not a rational: 'y'"),
+    ({(1, 3): "-2", (3, 0): "z"}, "distances must be nonnegative"),
+    ({(0, 1): "w", (3, 4): "w"}, "not a rational: 'w'"),
+    ({(0, 1): "1e5", (0, 3): "1e5", (4, 2): "1e5"}, "not a rational: '1e5'"),
+    ({(0, j): f"bad{j}" for j in range(1, 6)}, "not a rational: 'bad1'"),
+    ({(1, 0): "1/0", (1, 2): "1_0", (1, 3): "", (1, 4): "1/0"}, "not a rational: '1/0'"),
+    ({(5, None): "", (0, 2): "1/2"}, "table is not square"),
+], ids=["malformed-before-short-row", "malformed-after-negative", "negative-row-before-malformed",
+        "same-malformed-text-twice", "repeated-exponent", "first-of-many-in-row-order",
+        "first-of-mixed-faults", "short-row"])
+def test_the_first_fault_in_row_order_is_reported(edits, message):
+    with pytest.raises(StructureError, match=f"^{message}$"):
+        FinitePMSpace.from_json(_text_table(_rows(6, edits)))
+
+
+@pytest.mark.parametrize("rows", [
+    [["0", [1]], ["1", "0"]],
+    [["0", {}], ["1", "0"]],
+    [[[1], "x"], ["1", "0"]],
+    [["0", None], ["1", "0"]],
+], ids=["list", "dict", "list-before-malformed", "none"])
+def test_an_entry_that_is_no_number_is_a_type_error(rows):
+    # Reachable only from the Python API; a JSON cell is always read as text.
+    with pytest.raises(TypeError, match="^argument should be a string or a Rational instance$"):
+        FinitePMSpace(["x", "y"], rows)
+
+
+def test_a_malformed_text_beside_an_unhashable_entry_is_reported_first():
+    with pytest.raises(StructureError, match="^not a rational: 'x'$"):
+        FinitePMSpace(["x", "y"], [["x", [1]], ["1", "0"]])
+
+
+def test_text_rows_may_hold_other_entries():
+    rows = [["1/2", F(1, 3), "0.50"], [1, "0.5", F(2)], ["3/6", 2, "1"]]
+    sp = FinitePMSpace(["x", "y", "z"], rows)
+    assert (sp.num, sp.den) == table_by_cells(rows)
+
+
+def test_each_distinct_text_is_read_once(monkeypatch):
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return read_ratio(text)
+
+    monkeypatch.setattr(core, "read_ratio", counting)
+    rows = [["1/2" if i == j else "3/4" if (i + j) % 2 else "1" for j in range(7)]
+            for i in range(7)]
+    sp = FinitePMSpace.from_json(_text_table(rows))
+    assert sorted(calls) == ["1", "1/2", "3/4"]
+    assert (sp.num, sp.den) == table_by_cells(rows)
+
+
+def _unreduced(text):
+    """The entry's value written unreduced: a decimal with a trailing zero ("0.50")
+    where its denominator divides a power of ten, else "2a/2b" ("2/4")."""
+    q = F(text)
+    k = next((k for k in range(64) if 10 ** k % q.denominator == 0), None)
+    if k is None:
+        return f"{2 * q.numerator}/{2 * q.denominator}"
+    whole, frac = divmod(q.numerator * 10 ** k // q.denominator, 10 ** k)
+    return f"{whole}.{frac:0{k}d}0" if k else f"{whole}.0"
+
+
+def _docs():
+    """(id, table JSON document) for every table whose entries are in read_ratio's grammar."""
+    def text(rows):
+        return [[f"{F(v).numerator}/{F(v).denominator}" for v in row] for row in rows]
+
+    for name, points, rows in INPUTS:
+        yield f"input-{name}", {"points": [f"p{i}" for i in range(len(points))], "p": text(rows)}
+    for name, rows in [("valid", VALID), *((f"broken-{k}", r) for k, r in BROKEN.items())]:
+        yield name, json.loads(_text_table(text(rows)))
+    for k, ((a, b, c, d), _) in enumerate(UNREDUCED):
+        yield f"unreduced-{k}", {"points": ["x", "y"], "p": [[a, b], [c, d]]}
+    for kind in bench_tables.KINDS:
+        for n in (16, 64):
+            yield f"perfbench-{kind}-{n}", json.loads(bench_tables.make_table(kind, n, 1).to_json())
+    for name in catalog_names():
+        yield f"catalog-{name}", catalog_space(name).finite_sample().to_json_dict()
+
+
+@pytest.mark.parametrize("doc", [pytest.param(doc, id=i) for i, doc in _docs()])
+@pytest.mark.parametrize("written", ["as-stated", "unreduced"])
+def test_num_and_den_match_a_per_cell_read(doc, written):
+    rows = doc["p"]
+    if written == "unreduced":
+        rows = [[_unreduced(v) for v in row] for row in rows]
+    sp = FinitePMSpace.from_json_dict({**doc, "p": rows})
+    assert (sp.num, sp.den) == table_by_cells(rows)
+
+
+def test_unreduced_rewrites_keep_the_value():
+    assert [_unreduced(v) for v in ("1/2", "1/3", "3", "7/20", "0/1")] == \
+        ["0.50", "2/6", "3.0", "0.350", "0.0"]
