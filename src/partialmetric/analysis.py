@@ -105,9 +105,10 @@ def exact_cycle(space, seq: SequenceSpec,
                 horizon: int = DEFAULT_HORIZON) -> Optional[tuple[Point, ...]]:
     """The sequence's eventual cycle: declared for periodic specs, else detected.
 
-    This is where a cycle's terms are checked against ``space``, and for a
-    periodic spec its preamble's too: a term outside the space is the
-    space's own ``DomainError``, from every analyzer that reads the cycle.
+    This is where a sequence's terms are checked against ``space``: a
+    periodic spec's preamble and cycle, an explicit spec's terms up to the
+    horizon, and a generator's detected cycle. A term outside the space is
+    the space's own ``DomainError``, from every analyzer that reads the cycle.
     """
     n = seq.effective_horizon(horizon)
     if seq.cycle:
@@ -115,13 +116,17 @@ def exact_cycle(space, seq: SequenceSpec,
     else:
         pts = seq.terms(n)
         d = _tail_period(pts)
-        if d is None:
-            return None
-        cycle = terms = tuple(pts[-d:])
-    for y in terms:
+        cycle = None if d is None else tuple(pts[-d:])
+        terms = pts if seq.generator is None else cycle or ()
+    _check_terms(space, terms)
+    return cycle
+
+
+def _check_terms(space, terms: Sequence[Point]) -> None:
+    """Raise the space's own ``DomainError`` for the first term outside ``space``."""
+    for y in dict.fromkeys(terms):
         if not space.contains(y):
             space.p(y, y)  # raises the space's DomainError naming y
-    return cycle
 
 
 @dataclass(frozen=True)
@@ -257,6 +262,8 @@ def is_cauchy(space, seq: SequenceSpec, tol: Fraction = DEFAULT_TOL,
         return _cauchy_over_cycle(space, exact_cycle(space, seq, horizon), tol, horizon,
                                   len(seq.prefix) + 1, True)
     pts = seq.terms(n)
+    if seq.generator is None:
+        _check_terms(space, pts)  # the window below reads only the tail
     w = max(1, min(n // 4 if n >= 4 else n, _PAIR_WINDOW))
     tail = pts[n - w:]
     pairs = [((tail[i], tail[j]), space.p(tail[i], tail[j]))
@@ -415,7 +422,8 @@ def seq_compact_witness(space: FinitePMSpace, seq: SequenceSpec,
     certified, otherwise a constant subsequence obtained by pigeonhole.
 
     An exact limit is the first point of :func:`limit_set` in space order,
-    so a cycle or preamble term outside the space is a ``DomainError`` here too.
+    so a term that :func:`exact_cycle` finds outside the space is a
+    ``DomainError`` here too.
     """
     check_tolerance(tol)
     cycle = exact_cycle(space, seq, horizon)

@@ -8,7 +8,9 @@ pinned by the brute-force oracles in ``tests/oracles.py``.
 
 The triangle phase tests a whole pair of rows at once: each row is packed
 into one int with a fixed-width field per column, so a few big-int
-operations and one mask test check every j of a pair (i, k). Only a row
+operations and one mask test check every k of an unordered pair i < j.
+The phase runs only on a symmetric table, where (i, j, k) fails iff
+(j, i, k) does, so the n(n-1)/2 pairs cover every triple. Only a row
 with a violation is then walked triple by triple, in canonical order,
 for its first (j, k).
 """
@@ -115,13 +117,17 @@ def _asymmetry(m, cols):
 def _triangle_scan(m):
     """First (4, i, j, k) with p(i,j) > p(i,k) + p(k,j) - p(k,k), or None.
 
-    Only a row that ``_violating_rows`` names is walked triple by triple,
-    so the witness is the canonical first one.
+    The table is symmetric here, so (i, j, k) fails iff (j, i, k) does,
+    and j = i never fails (see ``_violating_rows``). A failure at j < i
+    would make row j an earlier failing row, so the first failing row
+    fails only at some j > i, and that row, the first that
+    ``_violating_rows`` names, is walked over those j alone: the witness
+    is the canonical first one.
     """
     n = len(m)
     for i in _violating_rows(m):
         row = m[i]
-        for j in range(n):
+        for j in range(i + 1, n):
             ij = row[j]
             for k in range(n):
                 if ij > row[k] + m[k][j] - m[k][k]:
@@ -130,21 +136,27 @@ def _triangle_scan(m):
 
 
 def _violating_rows(m):
-    """Yield, in order, each row i with some p(i,j) > p(i,k) + p(k,j) - p(k,k).
+    """Yield, in order, each row i with some p(i,j) > p(i,k) + p(k,j) - p(k,k), j > i.
 
-    The test is p(i,j) - p(k,j) > a with a = p(i,k) - p(k,k). Rows are
-    packed shifted by the least entry lo into fields w bits wide, and for
-    each pair (i, k) field j of
+    The caller has passed symmetry, so the test at (i, j, k) is
+    p(i,j) + p(k,k) - p(i,k) - p(j,k) > 0, the same for (j, i, k). Rows
+    are packed shifted by the least entry lo into fields w bits wide,
+    the diagonal too (field k of ``diag`` is p(k,k) - lo), and for each
+    unordered pair i < j field k of
 
-        packed[i] + (half + p(k,k)) * ONES - packed[k] - p(i,k) * ONES
+        half * ONES + diag - packed[i] - packed[j] + (p(i,j) - lo) * ONES
 
-    holds p(i,j) - p(k,j) - a + half, whose guard bit (w-1) is set exactly
-    when that difference exceeds a. The caller guarantees 0 <= a <= span
-    (span = largest entry - lo): the axiom scan has passed P2, so
-    p(k,k) <= p(i,k); the metric scan has passed identity and positivity,
-    so p(k,k) = 0 = lo and p(i,k) >= 0. Every field then lies in
-    [half - 2*span, half + span], inside [0, 2^w), so no field borrows
+    holds half + p(i,j) + p(k,k) - p(i,k) - p(j,k), whose guard bit (w-1)
+    is set exactly when the triangle fails at (i, j, k). The caller
+    guarantees p(k,k) <= p(i,k) for all i, k: the axiom scan has passed
+    P2; the metric scan has passed identity and positivity, so p(k,k) = 0
+    = lo <= p(i,k). Every field then lies in [half - 2*span, half + span]
+    (span = largest entry - lo), inside [0, 2^w), so no field borrows
     from or carries into the next and the sum is exact field by field.
+    The same bound gives j = i no failure: p(i,i) <= p(i,k) and
+    p(k,k) <= p(i,k). So n(n-1)/2 pair tests cover every triple, and a
+    row that fails only at some j < i is not yielded; the first failing
+    row always fails at some j > i, so it is the first one yielded.
     """
     n = len(m)
     if n == 0:
@@ -155,16 +167,18 @@ def _violating_rows(m):
     half = (1 << (w - 1)) - 1
     ones = int(("0" * (w - 1) + "1") * n, 2)
     guard = ones << (w - 1)
-    packed = []
-    for row in m:
-        # Field j of a packed row r is p(r,j) - lo; column 0 sits in the lowest field.
+
+    def pack(values):
+        # Field k holds values[k] - lo; column 0 sits in the lowest field.
         fields = 0
-        for v in reversed(row):
+        for v in reversed(values):
             fields = fields << w | v - lo
-        packed.append(fields)
-    shifted = [(half + m[k][k]) * ones - packed[k] for k in range(n)]
-    for i in range(n):
-        sums = map(add, repeat(packed[i]), shifted)
-        spread = map(mul, m[i], repeat(ones))  # p(i,k) in every field
-        if any(map(and_, map(sub, sums, spread), repeat(guard))):
+        return fields
+
+    packed = list(map(pack, m))
+    base = (half - lo) * ones + pack([m[k][k] for k in range(n)])
+    for i in range(n - 1):
+        sums = map(sub, repeat(base - packed[i]), packed[i + 1:])
+        spread = map(mul, m[i][i + 1:], repeat(ones))  # p(i,j) in every field
+        if any(map(and_, map(add, sums, spread), repeat(guard))):
             yield i

@@ -92,6 +92,14 @@ def triangle_rows(matrix):
                    for j in range(n) for k in range(n))]
 
 
+def upper_triangle_rows(matrix):
+    """Rows i with some p(i,j) > p(i,k) + p(k,j) - p(k,k) at a j > i, in order. Pure Fractions."""
+    n = len(matrix)
+    return [i for i in range(n)
+            if any(matrix[i][j] > matrix[i][k] + matrix[k][j] - matrix[k][k]
+                   for j in range(i + 1, n) for k in range(n))]
+
+
 def _candidate_radii(matrix):
     n = len(matrix)
     gaps = sorted({matrix[i][j] - matrix[i][i]

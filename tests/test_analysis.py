@@ -349,6 +349,31 @@ class TestSeqCompactWitness:
         with pytest.raises(DomainError, match="point zzz is not in ex5.4"):
             converges_to(catalog_space("ex5.4"), seq, F(0))
 
+    @pytest.mark.parametrize("analyze", [
+        lambda sp, seq, x: limit_set(sp, seq),
+        lambda sp, seq, x: seq_compact_witness(sp, seq),
+        converges_to,
+        properly_converges,
+        lambda sp, seq, x: is_cauchy(sp, seq),
+    ], ids=["limit_set", "seq_compact_witness", "converges_to", "properly_converges", "is_cauchy"])
+    @pytest.mark.parametrize("space, x, where", [
+        (FinitePMSpace(ABC, [[0, 2, 3], [2, 1, 3], [3, 3, 2]]), "b", "the space"),
+        (catalog_space("ex5.4"), F(0), "ex5.4"),
+    ], ids=["table", "catalog"])
+    def test_explicit_term_outside_the_space_is_refused(self, analyze, space, x, where):
+        # The tail is constant at x, so only a check of every term catches zzz.
+        seq = SequenceSpec.explicit(["zzz"] + [x] * 20)
+        with pytest.raises(DomainError, match=f"point zzz is not in {where}"):
+            analyze(space, seq, x)
+
+    def test_explicit_terms_past_the_horizon_are_not_read(self):
+        sp = FinitePMSpace(ABC, [[0, 2, 3], [2, 1, 3], [3, 3, 2]])
+        seq = SequenceSpec.explicit(["b"] * 20 + ["zzz"])
+        assert limit_set(sp, seq, horizon=20) == {"b"}
+        assert is_cauchy(sp, seq, horizon=20).verdict == "cauchy_to"
+        with pytest.raises(DomainError, match="point zzz is not in the space"):
+            is_cauchy(sp, seq, horizon=21)
+
     @pytest.mark.parametrize("terms, limit, progression", [
         (("b", "a", "a", "b"), "b", (1, 4)),
         (("c", "a", "b", "a", "b"), "a", (2, 5)),

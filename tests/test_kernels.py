@@ -3,13 +3,14 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from partialmetric import kernels, random_pm_space
 from partialmetric.core import p_m_matrix
 
-from oracles import axiom_violation, metric_violation, triangle_rows
+from oracles import axiom_violation, metric_violation, triangle_rows, upper_triangle_rows
 
 F = Fraction
 
@@ -124,12 +125,15 @@ def test_metric_scan_matches_oracle(matrix):
 
 
 def assert_packed_rows_exact(matrix):
-    """The packed test names exactly the rows with a triangle violation.
+    """The packed test names exactly the rows with a triangle violation at some j > i.
 
     A row named without one would only cost a walk, so the verdicts alone
-    cannot show it; this checks the field arithmetic itself.
+    cannot show it; this checks the field arithmetic itself. The first
+    row named is the first row with any violation, the one the scans walk.
     """
-    assert list(kernels._violating_rows(scaled(matrix))) == triangle_rows(matrix)
+    rows = list(kernels._violating_rows(scaled(matrix)))
+    assert rows == upper_triangle_rows(matrix)
+    assert rows[:1] == triangle_rows(matrix)[:1]
 
 
 # Entries near 2^100 as well: packed fields over 100 bits wide.
@@ -154,6 +158,27 @@ def test_metric_triangle_phase_matches_oracle(matrix):
     event("triangle violation" if hit else "no violation")
     assert _metric_witness(hit) == metric_violation(matrix)
     assert_packed_rows_exact(matrix)
+
+
+# A metric on four points where only the pair {1, 3} breaks the triangle
+# (3 > 1 + 1 through 0 or 2): row 3 fails only at j = 1 < 3.
+LOWER_ONLY = [[0, 1, 1, 1], [1, 0, 1, 3], [1, 1, 0, 1], [1, 3, 1, 0]]
+
+
+@pytest.mark.parametrize("shift", [0, 1, F(1, 3)], ids=["zero", "one", "third"])
+def test_row_failing_only_below_the_diagonal_is_not_named(shift):
+    # Adding ``shift`` to every entry keeps P1-P3 and each triangle's verdict.
+    matrix = [[F(v) + shift for v in row] for row in LOWER_ONLY]
+    assert triangle_rows(matrix) == [1, 3] and upper_triangle_rows(matrix) == [1]
+    assert_packed_rows_exact(matrix)
+    assert _axiom_witness(kernels.axiom_scan(scaled(matrix))) == axiom_violation(matrix) == (
+        "P4", 1, 3, 0)
+
+
+def test_metric_scan_finds_the_pair_whose_second_row_is_not_named():
+    matrix = [[F(v) for v in row] for row in LOWER_ONLY]
+    assert _metric_witness(kernels.metric_scan(scaled(matrix))) == metric_violation(matrix) == (
+        "triangle", 1, 3, 0)
 
 
 def test_empty_table_has_no_violation():
