@@ -2,8 +2,10 @@
 
 Spaces carry rational distance tables or exact formula evaluators; every
 verdict (axioms, convergence certificates, condition checks, fixed-point
-traces) is computed in exact arithmetic. The axiom and metric verdicts
-come from one pure-Python scan over integer numerators (``kernels``).
+traces) is computed in exact arithmetic. The axiom verdict comes from one
+pure-Python scan over integer numerators (``kernels``); the derived
+metrics of a table that passes it are metrics by Matthews' lemma, stated
+in ``properties``, so no entry point scans them.
 """
 
 from .analysis import (

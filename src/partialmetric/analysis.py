@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import FinitePMSpace, ball, check_axioms, least_gap, minimal_balls, separation_class
+from .core import (FinitePMSpace, ball, ball_masks, check_axioms, least_gap, minimal_balls,
+                   require_table, separation_class)
 from .errors import AxiomFailureError, UnsupportedSequenceError
 from .points import Point, Record
 
@@ -281,8 +282,14 @@ def is_cauchy(space, seq: SequenceSpec, tol: Fraction = DEFAULT_TOL,
 
 def limit_set(space: FinitePMSpace, seq: SequenceSpec,
               horizon: int = DEFAULT_HORIZON) -> frozenset:
-    """All x with exact lim p(x_n, x) = p(x,x), for exactly periodic sequences."""
+    """All x with exact lim p(x_n, x) = p(x,x), for exactly periodic sequences.
+
+    The terms are checked first, on members every space has, so a term
+    outside a catalog space is that space's own ``DomainError``; then a
+    space with no table is refused.
+    """
     cycle = exact_cycle(space, seq, horizon)
+    require_table(space, "limit_set")
     if cycle is None:
         raise UnsupportedSequenceError("limit_set needs an eventually periodic sequence")
     return frozenset(
@@ -310,6 +317,7 @@ def specialization_order(space: FinitePMSpace) -> SpecializationOrder:
     is checked once, by the property suite. Cost: O(n^2), as the axiom
     verdict is the one :func:`core.check_axioms` keeps on the table.
     """
+    require_table(space, "specialization_order")
     report = check_axioms(space)
     if not report.ok:
         raise AxiomFailureError(f"space violates {report.violated_axiom}")
@@ -323,6 +331,7 @@ def maximal_points(space: FinitePMSpace) -> frozenset:
     checks that cover. Cost: O(n^2), the cost of
     :func:`specialization_order`, which refuses an axiom-violating table.
     """
+    require_table(space, "maximal_points")
     columns = zip(*specialization_order(space).dominates)
     return frozenset(p for p, col in zip(space.points, columns) if sum(col) == 1)
 
@@ -345,6 +354,7 @@ def gdelta_diagonal(space: FinitePMSpace) -> GDeltaReport:
     squares is the diagonal iff every row marks only its own point: the
     T1 test. Cost: O(n^2), whatever the table values.
     """
+    require_table(space, "gdelta_diagonal")
     t1 = separation_class(space).t1
     gap = least_gap(space)
     n0 = max(1, math.ceil(1 / gap)) if gap is not None else 1
@@ -360,6 +370,7 @@ class CoverReport(Record):
 
 def ball_cover_check(space: FinitePMSpace, centers: Sequence[Point], eps: Fraction) -> CoverReport:
     """Do the eps-balls around the centers cover the space?"""
+    require_table(space, "ball_cover_check")
     if eps <= 0:
         raise ValueError("cover radius must be positive")
     covered: set = set()
@@ -384,20 +395,23 @@ def totally_bounded_at(space: FinitePMSpace, eps: Fraction) -> NetReport:
     Repeatedly picks the uncovered point whose ball swallows the most of
     what is still uncovered (ties to the lowest index), so a point whose
     ball is the whole space is found first. Always succeeds on a finite
-    space; the interesting output is the net size.
+    space; the interesting output is the net size. The balls are the
+    index masks of :func:`core.ball_masks` and "uncovered" is one more, so
+    no point is hashed. Cost: O(n^2) to build the masks, plus O(|net| n)
+    mask tests.
     """
+    require_table(space, "totally_bounded_at")
     if eps <= 0:
         raise ValueError("net radius must be positive")
-    balls = {p: ball(space, p, eps) for p in space.points}
-    uncovered = set(space.points)
+    masks = ball_masks(space, eps)
+    uncovered = (1 << len(masks)) - 1
     centers: list[Point] = []
     while uncovered:
-        best = max(
-            (p for p in space.points if p in uncovered),
-            key=lambda p: (len(balls[p] & uncovered), -space.index(p)),
-        )
-        centers.append(best)
-        uncovered -= balls[best]
+        # max keeps the first of equal counts: a tie goes to the lowest index
+        best = max((i for i in range(len(masks)) if uncovered >> i & 1),
+                   key=lambda i: (masks[i] & uncovered).bit_count())
+        centers.append(space.points[best])
+        uncovered &= ~masks[best]
     return NetReport(tuple(centers), len(centers), eps)
 
 
@@ -427,6 +441,7 @@ def seq_compact_witness(space: FinitePMSpace, seq: SequenceSpec,
     """
     check_tolerance(tol)
     cycle = exact_cycle(space, seq, horizon)
+    require_table(space, "seq_compact_witness")  # after the term check, as in limit_set
     if cycle is not None:
         limits = limit_set(space, seq, horizon)
         if limits:

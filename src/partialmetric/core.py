@@ -268,6 +268,7 @@ def check_axioms(space: FinitePMSpace) -> AxiomReport:
     first violation is deterministic and reproducible. It runs once per
     table: later calls return the report the table keeps.
     """
+    require_table(space, "check_axioms")
     return space._axiom_report
 
 
@@ -296,24 +297,64 @@ def p_bar(space, x: Point, y: Point) -> Fraction:
     return space.p(x, y) - rho_of(space)
 
 
+def require_table(space, name: str) -> None:
+    """Refuse a space that holds no finite table, before ``name`` reads one.
+
+    The table-only functions read ``num``, ``points`` or ``index``, which
+    a catalog space does not have. They do not sample it in its place: a
+    catalog space's sample can differ from its declaration (ex5.4 declares
+    its bottom set by a predicate), so the caller chooses
+    ``space.finite_sample()``.
+    """
+    if not hasattr(space, "num"):
+        raise StructureError(f"{name} needs a finite table; pass space.finite_sample()")
+
+
 def bottom_set(space: FinitePMSpace) -> tuple[Point, ...]:
     """Points whose self-distance attains the minimum; never empty here."""
+    require_table(space, "bottom_set")
     m = space.num
     rho = min(row[i] for i, row in enumerate(m))
     return tuple(p for i, p in enumerate(space.points) if m[i][i] == rho)
 
 
+def _radius(space: FinitePMSpace, eps: Fraction) -> int:
+    """eps in units of 1/den, rounded up: the ball rule on integer rows.
+
+    An integer is below r iff it is below ceil(r), so y lies in the ball
+    of radius eps around c iff ``num[c][y] < num[c][c] + _radius(space, eps)``.
+    """
+    return math.ceil(eps * space.den)
+
+
 def ball(space: FinitePMSpace, center: Point, eps: Fraction) -> frozenset:
     """Open ball {y : p(center,y) < p(center,center) + eps} of a finite table."""
+    require_table(space, "ball")
     if eps <= 0:
         raise ValueError("ball radius must be positive")
     i = space.index(center)
     row = space.num[i]
-    bound = row[i] + math.ceil(eps * space.den)  # an integer is below r iff below ceil(r)
+    bound = row[i] + _radius(space, eps)
     return frozenset(p for j, p in enumerate(space.points) if row[j] < bound)
 
 
+def ball_masks(space: FinitePMSpace, eps: Fraction) -> list[int]:
+    """Every ball at radius eps, by index: bit y of entry c is set iff y lies in ball(c, eps).
+
+    The masks answer what :func:`ball` answers, by the same rule, without
+    building or hashing a point. Cost: O(n^2).
+    """
+    r = _radius(space, eps)
+    bits = [1 << y for y in range(len(space))]
+    masks = []
+    for c, row in enumerate(space.num):
+        bound = row[c] + r
+        masks.append(sum([bit for bit, v in zip(bits, row) if v < bound]))
+    return masks
+
+
 def diameter(space: FinitePMSpace) -> Fraction:
+    require_table(space, "diameter")
     return Fraction(max(map(max, space.num)), space.den)
 
 
@@ -325,6 +366,7 @@ def minimal_balls(space: FinitePMSpace) -> tuple[tuple[bool, ...], ...]:
     any radius up to the least positive gap. It fixes the ball topology of
     a finite table, valid or not. Row x always marks x. Cost: O(n^2).
     """
+    require_table(space, "minimal_balls")
     return tuple(tuple(v <= row[i] for v in row) for i, row in enumerate(space.num))
 
 
@@ -350,12 +392,17 @@ def separation_class(space: FinitePMSpace) -> SeparationClass:
     balls iff their smallest balls are disjoint, and a mark of y in row
     x puts y in both; so Hausdorff is T1 here. Cost: O(n^2).
     """
+    require_table(space, "separation_class")
     rel = minimal_balls(space)
     marks = [(i, j) for i, row in enumerate(rel) for j, on in enumerate(row) if on and i != j]
     t1 = not marks
     return SeparationClass(not any(rel[j][i] for i, j in marks), t1, t1)
 
 
+# The derived metrics as integer tables over ``den``. No entry point builds
+# them, since a valid table's derived metrics are metrics by the lemma in
+# ``properties``; they stay as library and test helpers, read with
+# ``kernels.metric_scan``, and the tracer resolves them by name.
 def p_m_matrix(space: FinitePMSpace) -> list[list[int]]:
     m, n = space.num, len(space)
     return [[2 * m[i][j] - m[i][i] - m[j][j] for j in range(n)] for i in range(n)]

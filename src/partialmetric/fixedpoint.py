@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 from .analysis import DEFAULT_TOL, check_tolerance
 from .catalog import MapSpec
-from .core import FinitePMSpace, bottom_set, rho_of
+from .core import FinitePMSpace, bottom_set, require_table, rho_of
 from .errors import DomainError, MapClosureError, MetadataError, SizeLimitError
 from .points import Point, Record, format_point
 
@@ -330,6 +330,7 @@ def constant_map_bottom(space: FinitePMSpace) -> tuple[Point, ...]:
     p(z,z) = rho, at every factor and on every table, valid or not: the
     result is :func:`core.bottom_set`, in table order.
     """
+    require_table(space, "constant_map_bottom")
     return bottom_set(space)
 
 
@@ -427,9 +428,11 @@ def exhaustive_condition_maps(space: FinitePMSpace, check: Callable[..., Conditi
     Under the contraction and max-conditions a pair whose images are
     both assigned and that fails prunes every map extending those
     assignments; the min-condition tests every map. Only survivors are
-    built as ``MapSpec``s. Errors: ``SizeLimitError`` past five points,
-    then the checker's own ``ValueError`` for a bad parameter.
+    built as ``MapSpec``s. Errors: ``StructureError`` on a space with no
+    table, ``SizeLimitError`` past five points, then the checker's own
+    ``ValueError`` for a bad parameter.
     """
+    require_table(space, "exhaustive_condition_maps")
     n = len(space)
     if n > 5:
         raise SizeLimitError(f"{n}**{n} maps is past the enumeration cutoff (n <= 5)")

@@ -24,7 +24,10 @@ from operator import add, and_, mul, sub
 from typing import NamedTuple, Optional, Sequence
 
 # ``perfbench/`` is the only reader of the four names that follow; the
-# benchmark change in ROADMAP item 1 retires them.
+# benchmark change in ROADMAP item 1 retires them. No entry point calls
+# ``metric_scan`` either: the derived metrics of a valid table are metrics
+# by the lemma in ``properties``. It stays as a library and test helper,
+# and the tracer resolves it by name.
 _INT64_SAFE = 1 << 61
 
 

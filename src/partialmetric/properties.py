@@ -1,14 +1,28 @@
 """Structural property suite over randomly generated spaces.
 
-Every generated table must pass the axiom scan, its three derived
-metrics must be true metrics, the specialization relation must be a
-partial order whose maximal balls cover the space, the five finite forms
-of "Hausdorff, hence metrizable" must agree, and every enumerated
-max-condition survivor must keep the bottom set invariant and contract
-under the shifted metric. The topology probes compute; each invariant
-they rest on is checked here, once. The constant-map bottom is the
-bottom set by the theorem that ``fixedpoint.constant_map_bottom``
-states, so no check compares the two.
+Every generated table must pass the axiom scan, the specialization
+relation must be a partial order whose maximal balls cover the space,
+the five finite forms of "Hausdorff, hence metrizable" must agree, and
+every enumerated max-condition survivor must keep the bottom set
+invariant and contract under the shifted metric. The topology probes
+compute; each invariant they rest on is checked here, once.
+
+Two invariants are theorems, so no check compares them:
+
+- The constant-map bottom is the bottom set, by the theorem that
+  ``fixedpoint.constant_map_bottom`` states.
+- The three derived metrics of a table that passes P1-P4 are metrics
+  (S. G. Matthews, "Partial metric topology", Ann. New York Acad. Sci.
+  728, 1994):
+  - p_m(x,y) = 2p(x,y) - p(x,x) - p(y,y) is at least 0 by P2 twice, is
+    0 off the diagonal only if p(x,x) = p(x,y) = p(y,y), which P1
+    excludes, and its triangle inequality is P4;
+  - d, p off the diagonal and 0 on it: p(x,y) >= p(x,x) >= 0 by P2 and
+    the constructor's refusal of negative entries, p(x,y) = 0 off the
+    diagonal would force p(x,x) = p(y,y) = 0 against P1, and
+    p(x,z) <= p(x,y) + p(y,z) - p(y,y) <= p(x,y) + p(y,z) by P4;
+  - p_bar = p - rho on the bottom set B: every p(x,x) there is rho, so
+    p_bar is p_m / 2 on B.
 """
 
 from __future__ import annotations
@@ -18,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from . import kernels
 from .analysis import gdelta_diagonal, maximal_points, specialization_order
 from .catalog import random_pm_space
 from .core import (
@@ -26,10 +39,8 @@ from .core import (
     ball,
     bottom_set,
     check_axioms,
-    d_matrix,
     least_gap,
-    p_bar_matrix,
-    p_m_matrix,
+    require_table,
     separation_class,
 )
 from .fixedpoint import check_condition_max, exhaustive_condition_maps
@@ -104,21 +115,18 @@ def _metrizability_problems(space: FinitePMSpace, balls, hats) -> list[str]:
 
 
 def check_space_properties(space: FinitePMSpace) -> list[str]:
-    """All structural checks for one space; returns failure descriptions."""
+    """All structural checks for one space; returns failure descriptions.
+
+    A table that passes the axioms is not scanned for the metric axioms
+    of p_m, d or p_bar on the bottom set: Matthews' lemma in the module
+    docstring proves them from P1-P4.
+    """
+    require_table(space, "check_space_properties")
     problems: list[str] = []
     report = check_axioms(space)
     if not report.ok:
         problems.append(f"axioms: {report.violated_axiom} at {report.witness}")
         return problems
-
-    for label, matrix in (("p_m", p_m_matrix(space)), ("d", d_matrix(space))):
-        hit = kernels.metric_scan(matrix)
-        if hit is not None:
-            problems.append(f"{label} metric axiom {hit.code} at ({hit.i},{hit.j},{hit.k})")
-    bottom = bottom_set(space)
-    hit = kernels.metric_scan(p_bar_matrix(space, restrict=bottom))
-    if hit is not None:
-        problems.append(f"p_bar|bottom metric axiom {hit.code}")
 
     order = specialization_order(space)
     problems += _partial_order_problems(order.dominates)
@@ -141,7 +149,7 @@ def check_space_properties(space: FinitePMSpace) -> list[str]:
     problems += _metrizability_problems(space, balls, hats)
 
     if n <= ENUMERATION_LIMIT:
-        pts, at_bottom = space.points, [space.index(z) for z in bottom]
+        pts, at_bottom = space.points, [space.index(z) for z in bottom_set(space)]
         rho = m[at_bottom[0]][at_bottom[0]]
         a, b = ALPHA.numerator, ALPHA.denominator
         for T in exhaustive_condition_maps(space, check_condition_max, ALPHA):

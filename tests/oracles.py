@@ -13,6 +13,8 @@ package's other pieces unchanged. random_pm_space_by_fractions is the
 generator as it once ran, on Fractions, and condition_min_by_loop the
 min-condition check as it once ran: all k iterate steps for every pair.
 table_by_cells reads a table one Fraction per cell, with no memo and no regex.
+greedy_net_by_sets is the greedy eps-net on Fractions and Python sets of
+indices, as totally_bounded_at once ran it on sets of points.
 """
 
 import itertools
@@ -61,6 +63,25 @@ def table_by_cells(matrix):
     rows = [[Fraction(v) for v in row] for row in matrix]
     den = math.lcm(*(q.denominator for row in rows for q in row))
     return tuple(tuple(q.numerator * (den // q.denominator) for q in row) for row in rows), den
+
+
+def greedy_net_by_sets(matrix, eps):
+    """Indices of the greedy eps-net's centers, in pick order. Pure Fractions, Python sets.
+
+    The ball of c is {y : p(c,y) < p(c,c) + eps}. Each step picks the
+    uncovered point whose ball holds the most uncovered points, ties to
+    the lowest index, until every point is covered.
+    """
+    m = [[Fraction(v) for v in row] for row in matrix]
+    n, eps = len(m), Fraction(eps)
+    balls = [{y for y in range(n) if m[c][y] < m[c][c] + eps} for c in range(n)]
+    uncovered = set(range(n))
+    centers = []
+    while uncovered:
+        best = min(uncovered, key=lambda c: (-len(balls[c] & uncovered), c))
+        centers.append(best)
+        uncovered -= balls[best]
+    return centers
 
 
 def metric_violation(matrix):

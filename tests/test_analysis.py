@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from partialmetric import (
     AxiomFailureError,
@@ -16,6 +18,7 @@ from partialmetric import (
     catalog_sequence,
     catalog_space,
     converges_to,
+    diameter,
     gdelta_diagonal,
     is_cauchy,
     limit_set,
@@ -28,6 +31,8 @@ from partialmetric import (
     totally_bounded_at,
 )
 from partialmetric.points import FSet
+
+from oracles import greedy_net_by_sets
 
 F = Fraction
 ABC = ("a", "b", "c")
@@ -289,9 +294,69 @@ class TestCoversAndNets:
 
     def test_net_size_one_past_diameter(self):
         sp = random_pm_space(4, 6)
-        from partialmetric import diameter
-
         assert totally_bounded_at(sp, diameter(sp) + 1).size == 1
+
+
+@st.composite
+def net_cases(draw):
+    """(space, eps): a random valid or invalid table, its point ids, and a radius.
+
+    Invalid tables draw entries from 0..top over one denominator; top 1
+    fills a table with ties. The radius is a positive gap p(c,y) - p(c,c)
+    exactly (the ball is strict), past the diameter, or any k/12.
+    """
+    n = draw(st.integers(min_value=1, max_value=7))
+    if draw(st.booleans()):
+        matrix = random_pm_space(draw(st.integers(min_value=0, max_value=10_000)), n).matrix
+        event("valid table")
+    else:
+        top, den = draw(st.sampled_from([1, 6])), draw(st.sampled_from([1, 12]))
+        matrix = [[F(draw(st.integers(min_value=0, max_value=top)), den) for _ in range(n)]
+                  for _ in range(n)]
+        event("ties" if top == 1 else "random table")
+    ids = draw(st.sampled_from(["fraction", "str", "int"]))
+    event(f"{ids} ids")
+    # Ids whose order is not the index order, so a tie must follow the index.
+    points = {"fraction": [F(n - i, 3) for i in range(n)],
+              "str": [f"p{n - i}" for i in range(n)],
+              "int": [n - i for i in range(n)]}[ids]
+    sp = FinitePMSpace(points, matrix)
+    gaps = sorted({row[y] - row[c] for c, row in enumerate(matrix) for y in range(n)
+                   if row[y] > row[c]})
+    kinds = ["grid", "past diameter"] + (["gap"] if gaps else [])
+    kind = draw(st.sampled_from(kinds))
+    event(f"eps {kind}")
+    if kind == "gap":
+        eps = draw(st.sampled_from(gaps))
+    elif kind == "past diameter":
+        eps = diameter(sp) + F(draw(st.integers(min_value=1, max_value=12)), 12)
+    else:
+        eps = F(draw(st.integers(min_value=1, max_value=30)), 12)
+    return sp, eps
+
+
+class TestGreedyNet:
+    @settings(max_examples=300, deadline=None)
+    @given(net_cases())
+    def test_matches_the_set_oracle(self, case):
+        sp, eps = case
+        net = totally_bounded_at(sp, eps)
+        want = tuple(sp.points[i] for i in greedy_net_by_sets(sp.matrix, eps))
+        assert net.centers == want and net.size == len(want) and net.eps == eps
+
+    def test_a_ball_at_a_gap_leaves_that_point_out(self):
+        sp = FinitePMSpace(["a", "b"], [[0, 1], [1, 0]])
+        assert totally_bounded_at(sp, F(1)).centers == ("a", "b")
+        assert totally_bounded_at(sp, F(1) + F(1, 10**9)).centers == ("a",)
+
+    def test_ties_go_to_the_lowest_index(self):
+        sp = FinitePMSpace([F(3), F(2), F(1)], [[1] * 3] * 3)  # every ball is the whole space
+        assert totally_bounded_at(sp, F(1, 2)).centers == (F(3),)
+
+    @pytest.mark.parametrize("eps", [F(0), F(-1, 2)])
+    def test_refuses_a_radius_that_is_not_positive(self, eps):
+        with pytest.raises(ValueError, match="net radius must be positive"):
+            totally_bounded_at(random_pm_space(1, 3), eps)
 
 
 class TestSeqCompactWitness:

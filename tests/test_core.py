@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from partialmetric import (
     DomainError,
@@ -26,7 +28,7 @@ from partialmetric import (
 from partialmetric.core import d_matrix, p_bar_matrix, p_m_matrix
 from partialmetric import kernels
 
-from oracles import metric_violation, separation_by_radius_scan
+from oracles import axiom_violation, metric_violation, separation_by_radius_scan
 
 F = Fraction
 
@@ -249,6 +251,19 @@ class TestSeparation:
             assert separation_class(sp).t0
 
 
+@st.composite
+def symmetric_tables(draw):
+    """Symmetric integer tables, n 2..6, entries 0..6, each off-diagonal entry at
+    least both self-distances (P2), so that P1 and P4 decide validity."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    diag = draw(st.lists(st.integers(min_value=0, max_value=6), min_size=n, max_size=n))
+    m = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = draw(st.integers(min_value=max(diag[i], diag[j]), max_value=6))
+    return m
+
+
 class TestInvariants:
     def test_derived_tables_are_metrics(self):
         for seed in range(30):
@@ -256,6 +271,20 @@ class TestInvariants:
             assert kernels.metric_scan(p_m_matrix(sp)) is None
             assert kernels.metric_scan(d_matrix(sp)) is None
             assert kernels.metric_scan(p_bar_matrix(sp, restrict=bottom_set(sp))) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_tables())
+    def test_valid_tables_have_metric_derived_metrics(self, table):
+        # Matthews' lemma, which the property suite relies on in place of a scan:
+        # P1-P4 make p_m, d, and p_bar on the bottom set metrics.
+        assume(axiom_violation(table) is None)
+        sp = FinitePMSpace(range(len(table)), table)
+        bottom = bottom_set(sp)
+        event("bottom set of several points" if len(bottom) > 1 else "one-point bottom set")
+        pts = sp.points
+        assert metric_violation([[p_m(sp, x, y) for y in pts] for x in pts]) is None
+        assert metric_violation([[d_metric(sp, x, y) for y in pts] for x in pts]) is None
+        assert metric_violation([[p_bar(sp, x, y) for y in bottom] for x in bottom]) is None
 
     def test_pm_bounded_by_twice_d(self):
         for seed in range(20):

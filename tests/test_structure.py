@@ -2,11 +2,15 @@
 
 import ast
 import dataclasses
+import inspect
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from partialmetric import BottomDecl, SequenceSpec
+import partialmetric
+from partialmetric import (BottomDecl, PMError, SequenceSpec, StructureError, catalog_map,
+                           catalog_space, check_condition_max)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "partialmetric"
 SPACE_CLASSES = {"FinitePMSpace", "CatalogSpace"}
@@ -86,3 +90,51 @@ def test_no_module_rechecks_its_own_result():
                 if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+# Every public function of the package whose first parameter is a space.
+SPACE_FUNCTIONS = sorted(name for name, obj in vars(partialmetric).items()
+                         if not name.startswith("_") and inspect.isfunction(obj)
+                         and next(iter(inspect.signature(obj).parameters), None) == "space")
+
+# The functions that read a finite table's own members (num, points, index).
+TABLE_ONLY = {"ball", "ball_cover_check", "bottom_set", "check_axioms", "check_space_properties",
+              "constant_map_bottom", "diameter", "exhaustive_condition_maps", "gdelta_diagonal",
+              "limit_set", "maximal_points", "minimal_balls", "separation_class",
+              "seq_compact_witness", "specialization_order", "totally_bounded_at"}
+
+
+def _arguments(name):
+    """What ``name`` takes after the space, in ex5.4's points."""
+    x, half, seq = Fraction(0), Fraction(1, 2), SequenceSpec.explicit([Fraction(0)] * 20)
+    T = catalog_map("ex5.4.T")
+    return {"ball": (x, half), "ball_cover_check": ((x,), half),
+            "check_condition_max": (T, half), "check_condition_min": (T, 3),
+            "check_contraction": (T, half), "constant_map_ruled_out": (x,),
+            "converges_to": (seq, x), "properly_converges": (seq, x), "is_cauchy": (seq,),
+            "limit_set": (seq,), "seq_compact_witness": (seq,),
+            "d_metric": (x, half), "p_m": (x, half), "p_bar": (x, half),
+            "exhaustive_condition_maps": (check_condition_max, half),
+            "iterate": (T, x), "solve_on_bottom": (T, half, Fraction(1)),
+            "totally_bounded_at": (half,)}.get(name, ())
+
+
+@pytest.mark.parametrize("kind", ["catalog", "finite_sample"])
+@pytest.mark.parametrize("name", SPACE_FUNCTIONS)
+def test_every_space_function_answers_both_space_kinds(name, kind):
+    # A call returns or raises the package's own error, never a bare AttributeError.
+    space = catalog_space("ex5.4")
+    if kind == "finite_sample":
+        space = space.finite_sample()
+    try:
+        getattr(partialmetric, name)(space, *_arguments(name))
+    except PMError:
+        pass
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_ONLY))
+def test_a_table_only_function_refuses_a_catalog_space(name):
+    # It does not sample the space in its place: the caller chooses finite_sample().
+    with pytest.raises(StructureError,
+                       match=rf"^{name} needs a finite table; pass space\.finite_sample\(\)$"):
+        getattr(partialmetric, name)(catalog_space("ex5.4"), *_arguments(name))
