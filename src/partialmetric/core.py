@@ -215,7 +215,7 @@ class FinitePMSpace:
         return cls(pts, [[dist(x, y) for y in pts] for x in pts])
 
     def restrict(self, keep: Iterable[Point]) -> "FinitePMSpace":
-        """Subspace on ``keep``, in this space's point order."""
+        """Subspace on ``keep``, in this space's point order, read from ``num`` cell by cell."""
         chosen = set(keep)
         missing = chosen - set(self.points)
         if missing:
@@ -223,7 +223,7 @@ class FinitePMSpace:
         idx = [i for i, p in enumerate(self.points) if p in chosen]
         return FinitePMSpace(
             [self.points[i] for i in idx],
-            [[self.matrix[i][j] for j in idx] for i in idx],
+            [[Fraction(self.num[i][j], self.den) for j in idx] for i in idx],
         )
 
     def to_json_dict(self) -> dict:

@@ -7,8 +7,11 @@ Three hypotheses are checked, all with exact arithmetic:
     min-condition    min over i<=k of p(T^i(x),T^i(y)) <= (p(x,x)+p(y,y)) / 2
 
 Each checker is called as ``check(space, T, alpha or k)``; the map
-enumeration on tiny spaces takes a checker and its parameter. A grid of
-max-condition factors is decided by its ``least_factor`` alone.
+enumeration on tiny spaces takes a checker and its parameter. Only the
+max-condition checker also takes ``pairs``, an explicit pair list in
+place of the canonical one: :func:`solve_on_bottom` passes the pairs
+that meet an escape from the bottom set. A grid of max-condition factors
+is decided by its ``least_factor`` alone.
 
 Verdicts are exhaustive on finite tables and sample-relative on
 formula-backed spaces; each space names its own ``scope`` and the
@@ -24,6 +27,7 @@ from __future__ import annotations
 import inspect
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -75,15 +79,12 @@ def _apply_in(space, T: MapSpec, x: Point) -> Point:
     return y
 
 
-def _pairs_and_scope(space, pairs):
-    if pairs is not None:
-        return list(pairs), "explicit"
-    pts = space.canonical_sample
-    return [(pts[i], pts[j]) for i in range(len(pts)) for j in range(i, len(pts))], space.scope
-
-
-def _check_pairwise(space, condition, params, lhs_rhs, pairs) -> ConditionReport:
-    plist, scope = _pairs_and_scope(space, pairs)
+def _check_pairwise(space, condition, params, lhs_rhs, pairs=None) -> ConditionReport:
+    if pairs is None:
+        pts, scope = space.canonical_sample, space.scope
+        plist = [(pts[i], pts[j]) for i in range(len(pts)) for j in range(i, len(pts))]
+    else:
+        plist, scope = list(pairs), "explicit"
     for x, y in plist:
         lhs, rhs = lhs_rhs(x, y)
         if lhs > rhs:
@@ -97,18 +98,18 @@ def _check_factor(alpha: Fraction) -> None:  # of the contraction and the max-co
         raise ValueError("the factor must lie in [0, 1)")
 
 
-def check_contraction(space, T: MapSpec, alpha: Fraction, pairs=None) -> ConditionReport:
+def check_contraction(space, T: MapSpec, alpha: Fraction) -> ConditionReport:
     """p(T(x),T(y)) <= alpha p(x,y) over the pair set, exactly."""
     _check_factor(alpha)
 
     def lhs_rhs(x, y):
         return space.p(_apply_in(space, T, x), _apply_in(space, T, y)), alpha * space.p(x, y)
 
-    return _check_pairwise(space, "contraction", {"alpha": alpha}, lhs_rhs, pairs)
+    return _check_pairwise(space, "contraction", {"alpha": alpha}, lhs_rhs)
 
 
 def check_condition_max(space, T: MapSpec, alpha: Fraction, pairs=None) -> ConditionReport:
-    """p(T(x),T(y)) <= max{alpha p(x,y), p(x,x), p(y,y)} over the pair set."""
+    """p(T(x),T(y)) <= max{alpha p(x,y), p(x,x), p(y,y)} over the pair set, or over ``pairs``."""
     _check_factor(alpha)
 
     def lhs_rhs(x, y):
@@ -123,7 +124,7 @@ def _check_depth(k: int) -> None:
         raise ValueError("the iterate depth k must be at least 1")
 
 
-def check_condition_min(space, T: MapSpec, k: int, pairs=None) -> ConditionReport:
+def check_condition_min(space, T: MapSpec, k: int) -> ConditionReport:
     """min over the first k iterate pairs <= the self-distance average.
 
     A pair stops once its minimum meets the bound (a holding pair's
@@ -149,7 +150,7 @@ def check_condition_min(space, T: MapSpec, k: int, pairs=None) -> ConditionRepor
                 mark = (u, v)
         return best, rhs
 
-    return _check_pairwise(space, "min", {"k": k}, lhs_rhs, pairs)
+    return _check_pairwise(space, "min", {"k": k}, lhs_rhs)
 
 
 @dataclass(frozen=True)
@@ -169,6 +170,14 @@ class IterationTrace(Record):
         return self.outcome != "budget_exhausted"
 
 
+def _check_run(space, x0: Point, tol: Fraction, budget: int) -> None:
+    check_tolerance(tol)
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    if not space.contains(x0):
+        raise DomainError(f"start {format_point(x0)} is not in the space")
+
+
 def iterate(space, T: MapSpec, x0: Point, tol: Fraction = DEFAULT_TOL,
             budget: int = DEFAULT_BUDGET,
             known_fixed_points: Sequence[Point] = ()) -> IterationTrace:
@@ -180,9 +189,7 @@ def iterate(space, T: MapSpec, x0: Point, tol: Fraction = DEFAULT_TOL,
     settled trace is upgraded to a fixed point only by matching a known
     candidate z with T(z) = z exactly and trace distances within tol.
     """
-    _check_run(tol, budget)
-    if not space.contains(x0):
-        raise DomainError(f"start {format_point(x0)} is not in the space")
+    _check_run(space, x0, tol, budget)
     xs = [x0]
     p_steps: list[Fraction] = []
     p_selfs = [space.p(x0, x0)]
@@ -203,45 +210,36 @@ def iterate(space, T: MapSpec, x0: Point, tol: Fraction = DEFAULT_TOL,
         if streak >= _CONFIRM_WINDOW:
             outcome = "certified_cauchy"
             break
-    steps = len(xs) - 1
-    if outcome == "fixed_point":
-        return IterationTrace(x0, tuple(xs), tuple(p_steps), tuple(p_selfs),
-                              "fixed_point", xs[-1], None, steps, False)
+    last = xs[-1]
+    fixed = last if outcome == "fixed_point" else None
     if outcome == "certified_cauchy":
-        last = xs[-1]
-        for z in known_fixed_points:
-            if (space.contains(z) and T.apply(z) == z
-                    and abs(space.p(last, z) - space.p(z, z)) <= tol
-                    and abs(space.p(last, last) - space.p(z, z)) <= tol):
-                return IterationTrace(x0, tuple(xs), tuple(p_steps), tuple(p_selfs),
-                                      "fixed_point", z, None, steps, True)
-        return IterationTrace(x0, tuple(xs), tuple(p_steps), tuple(p_selfs),
-                              "certified_cauchy", None, p_selfs[-1], steps, False)
-    return IterationTrace(x0, tuple(xs), tuple(p_steps), tuple(p_selfs),
-                          "budget_exhausted", None, None, steps, False)
+        fixed = next((z for z in known_fixed_points
+                      if space.contains(z) and T.apply(z) == z
+                      and abs(space.p(last, z) - space.p(z, z)) <= tol
+                      and abs(space.p(last, last) - space.p(z, z)) <= tol), None)
+    identified = outcome == "certified_cauchy" and fixed is not None
+    if identified:
+        outcome = "fixed_point"
+    cauchy_value = p_selfs[-1] if outcome == "certified_cauchy" else None
+    return IterationTrace(x0, tuple(xs), tuple(p_steps), tuple(p_selfs), outcome, fixed,
+                          cauchy_value, len(xs) - 1, identified)
 
 
 @dataclass(frozen=True)
 class BottomSolveReport(Record):
     status: str  # "fixed_point" | "certified" | "escaped_bottom" | "condition_violated" | "budget_exhausted"
-    fixed_point: Optional[Point]
-    last: Optional[Point]
-    iterations: int
-    condition_report: Optional[ConditionReport]
-    escape: Optional[tuple[Point, Point]]
-    escape_violation: Optional[ConditionViolation]
-    fixed_points_in_bottom: Optional[tuple[Point, ...]]
-    unique_in_bottom: Optional[bool]
+    fixed_point: Optional[Point] = None
+    last: Optional[Point] = None
+    iterations: int = 0
+    condition_report: Optional[ConditionReport] = None
+    escape: Optional[tuple[Point, Point]] = None
+    escape_violation: Optional[ConditionViolation] = None
+    fixed_points_in_bottom: Optional[tuple[Point, ...]] = None
+    unique_in_bottom: Optional[bool] = None
 
     @property
     def ok(self) -> bool:
         return self.status in ("fixed_point", "certified")
-
-
-def _check_run(tol: Fraction, budget: int) -> None:
-    check_tolerance(tol)
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
 
 
 def solve_on_bottom(space, T: MapSpec, alpha: Fraction, x0: Point,
@@ -255,7 +253,7 @@ def solve_on_bottom(space, T: MapSpec, alpha: Fraction, x0: Point,
     lists its members (always on a finite table) the fixed points inside
     it are enumerated exhaustively, which settles uniqueness.
     """
-    _check_run(tol, budget)
+    _check_run(space, x0, tol, budget)
     bottom = space.declared_bottom
     if bottom.members == ():
         raise MetadataError(f"{space!r} declares an empty bottom set")
@@ -263,47 +261,39 @@ def solve_on_bottom(space, T: MapSpec, alpha: Fraction, x0: Point,
         raise ValueError(f"start {format_point(x0)} is not in the bottom set")
     pre = check_condition_max(space, T, alpha)
     if not pre.ok:
-        return BottomSolveReport("condition_violated", None, None, 0, pre,
-                                 None, None, None, None)
+        return BottomSolveReport("condition_violated", condition_report=pre)
     sample_members = tuple(z for z in space.canonical_sample if bottom.contains(z))
     closure_pool = tuple(dict.fromkeys(sample_members + (x0,)))
     for z in closure_pool:
         image = _apply_in(space, T, z)
         if not bottom.contains(image):
-            violation = None
-            probe = check_condition_max(space, T, alpha,
-                                        pairs=[(z, y) for y in closure_pool])
-            if not probe.ok:
-                violation = probe.violation
-            return BottomSolveReport("escaped_bottom", None, None, 0, pre,
-                                     (z, image), violation, None, None)
+            probe = check_condition_max(space, T, alpha, pairs=[(z, y) for y in closure_pool])
+            return BottomSolveReport("escaped_bottom", condition_report=pre, escape=(z, image),
+                                     escape_violation=probe.violation)
 
-    fixed_in_bottom: Optional[tuple[Point, ...]] = None
-    unique: Optional[bool] = None
-    candidates = list(known_fixed_points)
+    fixed_in_bottom = unique = None
+    candidates = tuple(known_fixed_points)
     if bottom.members is not None:
         fixed_in_bottom = tuple(z for z in bottom.members if T.apply(z) == z)
         unique = len(fixed_in_bottom) <= 1
-        candidates = list(fixed_in_bottom) + candidates
+        candidates = fixed_in_bottom + candidates
 
     rho = rho_of(space)
-    x = x0
+    status, fixed, x, iterations = "budget_exhausted", None, x0, budget
     for step in range(1, budget + 1):
         nxt = _apply_in(space, T, x)
         if nxt == x:
-            return BottomSolveReport("fixed_point", x, x, step - 1, pre, None, None,
-                                     fixed_in_bottom, unique)
+            status, fixed, iterations = "fixed_point", x, step - 1
+            break
         if space.p(x, nxt) - rho <= tol:
-            for z in candidates:
-                if (space.contains(z) and T.apply(z) == z
-                        and min(space.p(x, z), space.p(nxt, z)) - rho <= tol):
-                    return BottomSolveReport("fixed_point", z, x, step, pre, None, None,
-                                             fixed_in_bottom, unique)
-            return BottomSolveReport("certified", None, x, step, pre, None, None,
-                                     fixed_in_bottom, unique)
+            fixed = next((z for z in candidates
+                          if space.contains(z) and T.apply(z) == z
+                          and min(space.p(x, z), space.p(nxt, z)) - rho <= tol), None)
+            status, iterations = "certified" if fixed is None else "fixed_point", step
+            break
         x = nxt
-    return BottomSolveReport("budget_exhausted", None, x, budget, pre, None, None,
-                             fixed_in_bottom, unique)
+    return BottomSolveReport(status, fixed, x, iterations, pre,
+                             fixed_points_in_bottom=fixed_in_bottom, unique_in_bottom=unique)
 
 
 def least_factor(alphas: Sequence[Fraction]) -> Fraction:
@@ -344,7 +334,7 @@ def constant_map_ruled_out(space, z: Point) -> bool:
     return space.p(z, z) > rho_of(space)
 
 
-def _pruned_maps(m, bound: Fraction, with_selfs: bool) -> list[tuple[int, ...]]:
+def _pruned_maps(m, alpha: Fraction, with_selfs: bool) -> list[tuple[int, ...]]:
     """Image tuples passing b p(T i, T k) <= R[i][k] at every pair i <= k, in product order.
 
     With alpha = a/b, R[i][k] is a p(i,k), or max{a p(i,k), b p(i,i),
@@ -353,8 +343,9 @@ def _pruned_maps(m, bound: Fraction, with_selfs: bool) -> list[tuple[int, ...]]:
     and each pair is tested as soon as both of its images are set, so a
     failing pair cuts every map that extends the prefix.
     """
+    _check_factor(alpha)
     n = len(m)
-    a, b = bound.numerator, bound.denominator
+    a, b = Fraction(alpha).as_integer_ratio()
     lhs = [[b * v for v in row] for row in m]
     rhs = [[max(a * m[i][k], b * m[i][i], b * m[k][k]) if with_selfs else a * m[i][k]
             for k in range(n)] for i in range(n)]
@@ -372,16 +363,6 @@ def _pruned_maps(m, bound: Fraction, with_selfs: bool) -> list[tuple[int, ...]]:
 
     extend(0)
     return found
-
-
-def _contraction_maps(m, alpha: Fraction) -> list[tuple[int, ...]]:
-    _check_factor(alpha)
-    return _pruned_maps(m, Fraction(alpha), with_selfs=False)
-
-
-def _max_condition_maps(m, alpha: Fraction) -> list[tuple[int, ...]]:
-    _check_factor(alpha)
-    return _pruned_maps(m, Fraction(alpha), with_selfs=True)
 
 
 def _min_condition_maps(m, k: int) -> list[tuple[int, ...]]:
@@ -410,8 +391,8 @@ def _min_condition_maps(m, k: int) -> list[tuple[int, ...]]:
 
 # Each enumerable checker and the image tuples it passes on a table.
 _MAPS_PASSING = {
-    check_contraction: _contraction_maps,
-    check_condition_max: _max_condition_maps,
+    check_contraction: partial(_pruned_maps, with_selfs=False),
+    check_condition_max: partial(_pruned_maps, with_selfs=True),
     check_condition_min: _min_condition_maps,
 }
 

@@ -36,7 +36,7 @@ from .analysis import gdelta_diagonal, maximal_points, specialization_order
 from .catalog import random_pm_space
 from .core import (
     FinitePMSpace,
-    ball,
+    ball_masks,
     bottom_set,
     check_axioms,
     least_gap,
@@ -91,20 +91,20 @@ def _partial_order_problems(matrix) -> list[str]:
     return problems
 
 
-def _metrizability_problems(space: FinitePMSpace, balls, hats) -> list[str]:
+def _metrizability_problems(space: FinitePMSpace, balls: list[int], hats) -> list[str]:
     """The paper's second claim on a finite table: five verdicts that must agree.
 
     A finite valid table is Hausdorff iff it is T1, iff its diagonal is
     the ball-product intersection, iff every point is maximal, iff every
     ball at the deciding radius is a singleton; its topology is then
-    discrete, that of p_m. The last verdict comes from ``core.ball``, not
-    from the minimal-ball relation that the other four read, and so does
-    the reported pair.
+    discrete, that of p_m. The last verdict comes from the index masks
+    of ``core.ball_masks``, not from the minimal-ball relation that the
+    other four read, and so does the reported pair.
     """
     sep, gd = separation_class(space), gdelta_diagonal(space)
     verdicts = {"hausdorff": sep.hausdorff, "t1": sep.t1, "equals_diagonal": gd.equals_diagonal,
                 "every point maximal": len(hats) == len(space),
-                "singleton balls": all(len(b) == 1 for b in balls)}
+                "singleton balls": all(b.bit_count() == 1 for b in balls)}
     if len(set(verdicts.values())) == 1:
         return []
     n = len(balls)
@@ -138,13 +138,16 @@ def check_space_properties(space: FinitePMSpace) -> list[str]:
 
     # The deciding radius: below every positive gap, so each ball is the
     # smallest one around its center. Balls only grow with the radius, so
-    # a cover here is a cover at every radius.
+    # a cover here is a cover at every radius. Balls are index masks.
     gap = least_gap(space)
     eps = gap / 2 if gap is not None else Fraction(1)
-    balls = [ball(space, x, eps) for x in space.points]
+    balls = ball_masks(space, eps)
     hats = maximal_points(space)
-    covered = frozenset().union(*(b for x, b in zip(space.points, balls) if x in hats))
-    if covered != set(space.points):
+    covered = 0
+    for x, b in zip(space.points, balls):
+        if x in hats:
+            covered |= b
+    if covered != (1 << n) - 1:
         problems.append(f"maximal cover: maximal balls fail to cover at radius {eps}")
     problems += _metrizability_problems(space, balls, hats)
 

@@ -1,6 +1,7 @@
 """Condition checkers, iteration traces, bottom-set reduction, enumeration."""
 
 import functools
+import inspect
 import itertools
 import time
 from fractions import Fraction
@@ -103,6 +104,17 @@ class TestMaxCondition:
         assert rep.scope == "exhaustive"
         assert rep.pairs_checked == 6  # unordered pairs incl. the diagonal
 
+    def test_only_the_max_condition_takes_explicit_pairs(self):
+        sample = catalog_space("ex5.8").finite_sample()
+        rep = check_condition_max(sample, MapSpec.constant("b"), F(1, 2),
+                                  pairs=[("b", "b"), ("a", "a")])
+        assert (rep.scope, rep.pairs_checked) == ("explicit", 2)
+        assert rep.violation == ConditionViolation("a", "a", F(1), F(0))
+        takes = [check.__name__ for check in (check_contraction, check_condition_max,
+                                              check_condition_min)
+                 if "pairs" in inspect.signature(check).parameters]
+        assert takes == ["check_condition_max"]
+
 
 class TestMinCondition:
     def test_constant_at_bottom_holds(self):
@@ -165,6 +177,21 @@ class TestRunParameters:
             run(tol=F(-1, 2))
         with pytest.raises(ValueError, match="budget"):
             run(budget=0)
+
+    # A formula space's bottom predicate may accept a point its domain refuses
+    # (ex5.5 at 5), or fail on a point of another type (ex5.4 and ex5.5 at "zzz").
+    @pytest.mark.parametrize("space, start", [
+        (catalog_space("ex5.4"), "zzz"), (catalog_space("ex5.4"), F(5)),
+        (catalog_space("ex5.5"), "zzz"), (catalog_space("ex5.5"), F(5)),
+        (catalog_space("ex5.8").finite_sample(), "zzz"),
+    ], ids=["ex5.4-str", "ex5.4-5", "ex5.5-str", "ex5.5-5", "finite-str"])
+    @pytest.mark.parametrize("run", [
+        lambda space, start: iterate(space, catalog_map("ex5.4.T"), start),
+        lambda space, start: solve_on_bottom(space, catalog_map("ex5.4.T"), F(1, 2), start),
+    ], ids=["iterate", "solve_on_bottom"])
+    def test_start_outside_the_space_is_a_domain_error(self, run, space, start):
+        with pytest.raises(DomainError, match="is not in the space"):
+            run(space, start)
 
 
 class TestIterate:

@@ -59,7 +59,7 @@ def _load(name, relative):
 bench_scan = _load("bench_scan", "benchmarks/bench_scan.py")
 # The benchmark's table generator, read only: it builds Fractions and never imports partialmetric.
 bench_tables = _load("bench_tables", "perfbench/tables.py")
-PRIMES = bench_scan.WIDE_DENOMINATORS  # the eight largest primes below 2^12
+PRIMES = bench_tables.WIDE_PRIMES  # the eight largest primes below 2^12
 
 
 def _inputs():
@@ -177,6 +177,17 @@ def test_comparison_probes_leave_the_view_unbuilt():
     diameter(sp)
     p_m_matrix(sp), d_matrix(sp), p_bar_matrix(sp, restrict=bottom_set(sp))
     assert "matrix" not in vars(sp)
+
+
+@pytest.mark.parametrize("keep, den", [((0, 1, 2), 42), ((2, 0), 42), ((0, 1), 6), ((1,), 3)])
+def test_restrict_is_a_direct_build_and_leaves_the_view_unbuilt(keep, den):
+    sp = _loaded(VALID)  # den 42; dropping the 1/7 cell shrinks it
+    sub = sp.restrict([F(i) for i in keep])
+    idx = sorted(keep)
+    direct = FinitePMSpace([F(i) for i in idx], [[VALID[i][j] for j in idx] for i in idx])
+    assert (sub.points, sub.den, sub.num) == (direct.points, direct.den, direct.num)
+    assert sub.den == den
+    assert "matrix" not in vars(sp) and "matrix" not in vars(sub)
 
 
 def test_ball_radius_is_exact_at_the_boundary():
