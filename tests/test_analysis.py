@@ -1,6 +1,8 @@
 """Sequence analyzers, topology probes, and the mode-equivalence properties."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
@@ -10,6 +12,7 @@ from partialmetric import (
     AxiomFailureError,
     DomainError,
     FinitePMSpace,
+    PMError,
     SequenceSpec,
     UnsupportedSequenceError,
     apex_space,
@@ -18,6 +21,7 @@ from partialmetric import (
     catalog_sequence,
     catalog_space,
     converges_to,
+    format_point,
     diameter,
     gdelta_diagonal,
     is_cauchy,
@@ -30,7 +34,7 @@ from partialmetric import (
     specialization_order,
     totally_bounded_at,
 )
-from partialmetric.points import FSet
+from partialmetric.points import FSet, read_points
 
 from oracles import greedy_net_by_sets
 
@@ -519,3 +523,58 @@ class TestModeEquivalences:
                 assert converges_to(fin, seq2, x, tol=F(0)).mode == "converges"
                 assert properly_converges(fin, seq2, x, tol=F(0)).mode \
                     == "properly_converges"
+
+
+def sequence_outcomes(space, seq, targets, horizon, tol):
+    """Each analyzer's JSON on one sequence, or the error type and message it raised."""
+    def outcome(call):
+        try:
+            value = call()
+        except (PMError, ValueError) as exc:
+            return {"raises": type(exc).__name__, "message": str(exc)}
+        if isinstance(value, frozenset):
+            return sorted(format_point(t) for t in value)
+        return value.to_dict()
+
+    return {
+        "converges_to": [outcome(lambda x=x: converges_to(space, seq, x, tol, horizon))
+                         for x in targets],
+        "properly_converges": [outcome(lambda x=x: properly_converges(space, seq, x, tol, horizon))
+                               for x in targets],
+        "is_cauchy": outcome(lambda: is_cauchy(space, seq, tol, horizon)),
+        "limit_set": outcome(lambda: limit_set(space, seq, horizon)),
+        "seq_compact_witness": outcome(lambda: seq_compact_witness(space, seq, tol, horizon)),
+    }
+
+
+def golden_case_inputs(case):
+    """The space, sequence and targets a golden case names."""
+    catalog = catalog_space(case["space"])
+    space = catalog.finite_sample() if case["table"] else catalog
+    spec = case["seq"]
+    if "catalog" in spec:
+        seq = catalog_sequence(spec["catalog"])
+    elif "explicit" in spec:
+        seq = SequenceSpec.explicit(read_points(spec["explicit"], catalog.canonical_sample))
+    else:
+        seq = SequenceSpec.periodic(read_points(spec["cycle"], catalog.canonical_sample),
+                                    read_points(spec["preamble"], catalog.canonical_sample))
+    return space, seq, catalog.canonical_sample[:3]
+
+
+# Every analyzer's answer on the catalog sequences (on their own spaces) and on
+# periodic and explicit sequences over each finite sample, at horizons 1, 3 and
+# 100 and tolerances 0 and 1/25, as the analyzers gave them when each read the
+# sequence its own way.
+SEQUENCE_GOLDEN = json.loads((Path(__file__).parent / "sequence_golden.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted({case["space"] for case in SEQUENCE_GOLDEN}))
+def test_sequence_analyzers_are_golden(name):
+    cases = [case for case in SEQUENCE_GOLDEN if case["space"] == name]
+    for case in cases:
+        space, seq, targets = golden_case_inputs(case)
+        got = sequence_outcomes(space, seq, targets, case["horizon"],
+                                Fraction(case["tol"]))
+        assert json.dumps(got) == json.dumps(case["outcomes"]), \
+            {k: case[k] for k in ("table", "seq", "horizon", "tol")}
