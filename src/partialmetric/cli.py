@@ -17,6 +17,7 @@ from typing import Optional, Union
 from .analysis import (
     DEFAULT_HORIZON,
     DEFAULT_TOL,
+    MAX_HORIZON,
     SequenceSpec,
     ball_cover_check,
     converges_to,
@@ -347,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     seq.add_argument("--target")
     seq.add_argument("--mode", choices=("plain", "proper", "cauchy"), default="plain")
     seq.add_argument("--tol")
-    seq.add_argument("--horizon", type=int)
+    seq.add_argument("--horizon", type=int,
+                     help=f"terms to read, 1 to {MAX_HORIZON} (default {DEFAULT_HORIZON})")
     seq.add_argument("--json", action="store_true")
     seq.set_defaults(fn=_cmd_analyze)
 

@@ -26,7 +26,8 @@ class UnsupportedSequenceError(PMError):
 
 
 class SizeLimitError(PMError):
-    """Exhaustive enumeration was refused because the space is too large."""
+    """Work past a size cap was refused: exhaustive enumeration over too large a
+    space, or a sequence horizon past ``analysis.MAX_HORIZON``."""
 
 
 class AxiomFailureError(PMError):

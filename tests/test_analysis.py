@@ -21,8 +21,8 @@ from partialmetric import (
     catalog_sequence,
     catalog_space,
     converges_to,
-    format_point,
     diameter,
+    format_point,
     gdelta_diagonal,
     is_cauchy,
     limit_set,
@@ -435,6 +435,25 @@ class TestSeqCompactWitness:
         with pytest.raises(DomainError, match=f"point zzz is not in {where}"):
             analyze(space, seq, x)
 
+    @pytest.mark.parametrize("analyze", [
+        lambda sp, seq, x: limit_set(sp, seq, horizon=100),
+        lambda sp, seq, x: seq_compact_witness(sp, seq, horizon=100),
+        lambda sp, seq, x: converges_to(sp, seq, x, horizon=100),
+        lambda sp, seq, x: properly_converges(sp, seq, x, horizon=100),
+        lambda sp, seq, x: is_cauchy(sp, seq, horizon=100),
+    ], ids=["limit_set", "seq_compact_witness", "converges_to", "properly_converges", "is_cauchy"])
+    @pytest.mark.parametrize("space, x, where", [
+        (FinitePMSpace(ABC, [[0, 2, 3], [2, 1, 3], [3, 3, 2]]), "b", "the space"),
+        (catalog_space("ex5.4"), F(0), "ex5.4"),
+    ], ids=["table", "catalog"])
+    @pytest.mark.parametrize("odd", [None, "q"], ids=["tail-inside", "tail-outside"])
+    def test_generator_term_outside_the_space_is_refused(self, analyze, space, x, where, odd):
+        # x_1 = r is outside; the tail is x, or alternates x with q when odd is q.
+        seq = SequenceSpec.from_generator(
+            lambda n: "r" if n == 1 else (odd or x) if n % 2 else x)
+        with pytest.raises(DomainError, match=f"point r is not in {where}"):
+            analyze(space, seq, x)
+
     def test_explicit_terms_past_the_horizon_are_not_read(self):
         sp = FinitePMSpace(ABC, [[0, 2, 3], [2, 1, 3], [3, 3, 2]])
         seq = SequenceSpec.explicit(["b"] * 20 + ["zzz"])
@@ -459,6 +478,32 @@ class TestSeqCompactWitness:
         witness = seq_compact_witness(sp, SequenceSpec.explicit(terms), horizon=len(terms))
         assert witness.kind == "constant" and witness.limit == "a"
         assert witness.indices == tuple(i + 1 for i, y in enumerate(terms) if y == "a")
+
+
+class TestOneReading:
+    """Each analyzer evaluates a generator at most ``horizon`` times per call."""
+
+    @pytest.mark.parametrize("analyze", [
+        lambda sp, seq: converges_to(sp, seq, "b", horizon=100),
+        lambda sp, seq: properly_converges(sp, seq, "b", horizon=100),
+        lambda sp, seq: is_cauchy(sp, seq, horizon=100),
+        lambda sp, seq: limit_set(sp, seq, horizon=100),
+        lambda sp, seq: seq_compact_witness(sp, seq, horizon=100),
+    ], ids=["converges_to", "properly_converges", "is_cauchy", "limit_set",
+            "seq_compact_witness"])
+    @pytest.mark.parametrize("term", [
+        lambda n: "a" if n < 5 else "bc"[n % 2],                  # a periodic tail
+        lambda n: "a" if round(n ** 0.5) ** 2 == n else "b",      # a at the squares only
+    ], ids=["periodic-tail", "aperiodic"])
+    def test_generator_is_read_once(self, analyze, term):
+        sp = FinitePMSpace(ABC, [[0, 2, 3], [2, 1, 3], [3, 3, 2]])
+        calls = []
+        seq = SequenceSpec.from_generator(lambda n: calls.append(n) or term(n))
+        try:
+            analyze(sp, seq)
+        except UnsupportedSequenceError:  # limit_set on the aperiodic sequence
+            pass
+        assert len(calls) <= 100
 
 
 class TestModeEquivalences:

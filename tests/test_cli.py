@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from partialmetric import FinitePMSpace
+from partialmetric.analysis import MAX_HORIZON
 from partialmetric.cli import main
 from partialmetric.core import MAX_DEN_BITS
 from partialmetric.catalog import get_entry
@@ -143,6 +144,33 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "seq", "--space", "ex4.8",
                            "--seq", str(seq), "--target", "0/1", "--horizon", "0")
         assert code == 2 and "horizon" in err
+
+    @staticmethod
+    def _cauchy_argv(tmp_path, horizon, by_file):
+        argv = ["analyze", "seq", "--space", "ex4.8", "--mode", "cauchy", "--tol", "1/25"]
+        if not by_file:
+            return argv + ["--seq", "ex4.8.naturals", "--horizon", str(horizon)]
+        seq = tmp_path / "seq.json"
+        seq.write_text(json.dumps({"generator": "ex4.8.naturals", "horizon": horizon}))
+        return argv + ["--seq", str(seq)]
+
+    @pytest.mark.parametrize("by_file", [False, True], ids=["flag", "file"])
+    def test_horizon_at_the_cap_is_read(self, capsys, tmp_path, by_file):
+        code, out, _ = run(capsys, *self._cauchy_argv(tmp_path, MAX_HORIZON, by_file))
+        assert code == 0 and "cauchy_to" in out
+
+    @pytest.mark.parametrize("by_file", [False, True], ids=["flag", "file"])
+    def test_horizon_past_the_cap_exits_two_at_once(self, capsys, tmp_path, by_file):
+        start = time.monotonic()
+        code, out, err = run(capsys, *self._cauchy_argv(tmp_path, MAX_HORIZON + 1, by_file))
+        assert code == 2 and out == ""
+        assert f"horizon {MAX_HORIZON + 1} is past the cap of {MAX_HORIZON}" in err
+        assert time.monotonic() - start < 1
+
+    def test_help_names_the_horizon_cap(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "seq", "--help"])
+        assert exc.value.code == 0 and f"1 to {MAX_HORIZON}" in capsys.readouterr().out
 
 
 class TestTopology:

@@ -11,7 +11,10 @@ and point ids, and one file content is nested past the JSON decoder's
 depth limit, and one holds an n = 24 table whose distinct 300-digit
 denominators pass the cap on the common denominator. Flags go mostly to
 the actions that read them, since any other is refused with exit 2. An
-example that takes 20 s or more fails.
+example that takes 20 s or more fails. Horizons include one past the
+cap, which exits 2 before any term is read; a second property draws the
+cap itself and one past it, on catalog sequences whose terms stay small,
+by flag and by file.
 """
 
 import contextlib
@@ -25,6 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from partialmetric import catalog_names, get_entry
+from partialmetric.analysis import MAX_HORIZON
 from partialmetric.cli import main
 
 POINT_IDS = ("0/1", "1/2", "1/1", "-5/1", "2/1", "a", "b", "x1", "{}", "{a}", "{a,b}", "", "zz",
@@ -36,6 +40,7 @@ MAP_IDS = ("ex3.4.T", "ex5.4.T", "const.a", "const.{}", "const.{a}", "const.0/1"
 JUNK = ("--", "-", "--bogus", "x", "{", "0:", ":", "1/0", "nan", "--json=1", "é", "3:1")
 
 ints = st.integers(min_value=-2, max_value=50).map(str)
+horizons = ints | st.just(str(MAX_HORIZON + 1))
 small_ints = st.integers(min_value=-1, max_value=5).map(str)
 rationals = st.builds(lambda a, b: f"{a}/{b}", st.integers(-2, 12), st.integers(0, 12))
 rationals = rationals | st.sampled_from(("0", "1", "1/2", "3/4", "0.5", "x/y", "1e99999999",
@@ -67,7 +72,7 @@ def table_docs(draw):
 sequence_docs = (
     st.builds(lambda ids: {"explicit": ids}, st.lists(st.sampled_from(POINT_IDS), max_size=5))
     | st.builds(lambda g, h: {"generator": g, "horizon": h}, st.sampled_from(SEQ_IDS),
-                st.integers(-1, 50) | json_leaf))
+                st.integers(-1, 50) | st.just(MAX_HORIZON + 1) | json_leaf))
 documents = table_docs() | sequence_docs | any_json
 
 TABLE = "@table"  # replaced by the path of the fuzzed table file
@@ -87,7 +92,7 @@ FLAG_VALUES = {
     "--from": st.sampled_from(POINT_IDS),
     "--mode": st.sampled_from(("plain", "proper", "cauchy", "fast")),
     "--tol": rationals,
-    "--horizon": ints,
+    "--horizon": horizons,
     "--centers": point_lists,
     "--eps": rationals,
     "--restrict": point_lists,
@@ -125,12 +130,12 @@ def _prefixes():
     yield st.builds(lambda sp: ["axioms", "--space", sp], spaces)
     yield st.builds(lambda sp, seq, t, h: ["analyze", "seq", "--space", sp, "--seq", seq,
                                            "--target", t, "--horizon", h],
-                    spaces, FLAG_VALUES["--seq"], FLAG_VALUES["--target"], ints)
+                    spaces, FLAG_VALUES["--seq"], FLAG_VALUES["--target"], horizons)
     # A catalog sequence on its own space, so that the analyzers run.
     yield st.builds(lambda seq, t, h: ["analyze", "seq", "--space", seq.rsplit(".", 1)[0],
                                        "--seq", seq, "--target", t, "--horizon", h],
                     st.sampled_from([s for s in SEQ_IDS if s.rsplit(".", 1)[0] in SPACE_IDS]),
-                    FLAG_VALUES["--target"], ints)
+                    FLAG_VALUES["--target"], horizons)
     for probe in ("separation", "gdelta", "order", "maximal", "cover", "net"):
         yield st.builds(lambda sp, p=probe: ["topology", p, "--space", sp], spaces)
     yield st.builds(lambda sp, m: ["fixedpoint", "check", "--space", sp, "--map", m],
@@ -203,3 +208,37 @@ def test_fuzzed_argv_keeps_the_exit_contract(argv, table, sequence):
             assert out.getvalue() == "", argv
         else:
             json.loads(out.getvalue())  # exactly one document
+
+
+# ex5.4's orbits are left out: their n-th term has about n bits, so the cap's
+# terms alone would hold gigabytes.
+SMALL_TERM_SEQS = ("ex3.2.alt", "ex4.8.naturals", "ex5.5.recip", "ex5.6.tail")
+
+
+@settings(max_examples=8, deadline=None)
+@given(seq=st.sampled_from(SMALL_TERM_SEQS), target=st.sampled_from(POINT_IDS),
+       mode=st.sampled_from(("plain", "proper", "cauchy")),
+       horizon=st.sampled_from((MAX_HORIZON, MAX_HORIZON + 1)), by_file=st.booleans())
+def test_horizon_cap_keeps_the_exit_contract(seq, target, mode, horizon, by_file):
+    argv = ["analyze", "seq", "--space", seq.rsplit(".", 1)[0], f"--target={target}",
+            "--mode", mode, "--json"]
+    with tempfile.TemporaryDirectory() as tmp:
+        if by_file and seq != "ex3.2.alt":  # a file names a generator
+            path = os.path.join(tmp, "seq.json")
+            with open(path, "w") as fh:
+                json.dump({"generator": seq, "horizon": horizon}, fh)
+            argv += ["--seq", path]
+        else:
+            argv += ["--seq", seq, "--horizon", str(horizon)]
+        out, err = io.StringIO(), io.StringIO()
+        start = time.monotonic()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        elapsed = time.monotonic() - start
+    if horizon > MAX_HORIZON:
+        assert code == 2 and out.getvalue() == "" and elapsed < 1, argv
+        assert "past the cap" in err.getvalue() or "not in" in err.getvalue(), argv
+    else:
+        assert code in (0, 1, 2) and elapsed < 20, argv
+        if code != 2:
+            json.loads(out.getvalue())

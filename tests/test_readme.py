@@ -1,4 +1,5 @@
-"""Every `pm` line of the README's "Command line" block runs, so the README cannot drift from the CLI."""
+"""Every `pm` line of the README's "Command line" block and every python block of the
+README runs, so the README cannot drift from the CLI or the library."""
 
 import contextlib
 import io
@@ -50,3 +51,10 @@ def test_text_mode_builds_no_json(tmp_path, monkeypatch):
 
     monkeypatch.setattr(points, "to_json", refuse)
     assert [_run(argv)[0] for argv in lines] == before
+
+
+def test_readme_python_blocks_run():
+    blocks = [part.split("```", 1)[0] for part in README.read_text().split("```python\n")[1:]]
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
