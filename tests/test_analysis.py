@@ -20,6 +20,7 @@ from partialmetric import (
     bottom_set,
     catalog_sequence,
     catalog_space,
+    check_space_properties,
     converges_to,
     diameter,
     format_point,
@@ -27,9 +28,11 @@ from partialmetric import (
     is_cauchy,
     limit_set,
     maximal_points,
+    minimal_balls,
     p_m,
     properly_converges,
     random_pm_space,
+    separation_class,
     seq_compact_witness,
     specialization_order,
     totally_bounded_at,
@@ -570,17 +573,19 @@ class TestModeEquivalences:
                     == "properly_converges"
 
 
+def outcome(call):
+    """A call's JSON (a point set as its sorted ids), or the error type and message it raised."""
+    try:
+        value = call()
+    except (PMError, ValueError) as exc:
+        return {"raises": type(exc).__name__, "message": str(exc)}
+    if isinstance(value, frozenset):
+        return sorted(format_point(t) for t in value)
+    return value.to_dict()
+
+
 def sequence_outcomes(space, seq, targets, horizon, tol):
     """Each analyzer's JSON on one sequence, or the error type and message it raised."""
-    def outcome(call):
-        try:
-            value = call()
-        except (PMError, ValueError) as exc:
-            return {"raises": type(exc).__name__, "message": str(exc)}
-        if isinstance(value, frozenset):
-            return sorted(format_point(t) for t in value)
-        return value.to_dict()
-
     return {
         "converges_to": [outcome(lambda x=x: converges_to(space, seq, x, tol, horizon))
                          for x in targets],
@@ -623,3 +628,50 @@ def test_sequence_analyzers_are_golden(name):
                                 Fraction(case["tol"]))
         assert json.dumps(got) == json.dumps(case["outcomes"]), \
             {k: case[k] for k in ("table", "seq", "horizon", "tol")}
+
+
+def topology_outcomes(space):
+    """Each topology probe's JSON on one table, or the error type and message it raised.
+
+    The minimal balls are their marked (x, y) id pairs, read from bool
+    rows or index masks alike, so the golden does not pin their type.
+    """
+    ids = [format_point(p) for p in space.points]
+    rows = minimal_balls(space)
+    marked = [[x, y] for i, x in enumerate(ids) for j, y in enumerate(ids)
+              if (rows[i] >> j & 1 if isinstance(rows[i], int) else rows[i][j])]
+    half = Fraction(1, 2)
+    return {
+        "separation_class": outcome(lambda: separation_class(space)),
+        "gdelta_diagonal": outcome(lambda: gdelta_diagonal(space)),
+        "specialization_order": outcome(lambda: specialization_order(space)),
+        "maximal_points": outcome(lambda: maximal_points(space)),
+        "minimal_balls": marked,
+        "check_space_properties": check_space_properties(space),
+        "totally_bounded_at": outcome(lambda: totally_bounded_at(space, half)),
+        "ball_cover_check": outcome(lambda: ball_cover_check(space, bottom_set(space), half)),
+    }
+
+
+def topology_case_space(case):
+    """The table a golden case names: a catalog sample, a random space or a table as written."""
+    if "catalog" in case:
+        return catalog_space(case["catalog"]).finite_sample()
+    if "random" in case:
+        seed, n = case["random"]
+        return random_pm_space(seed, n, zero_f=case["zero_f"])
+    return FinitePMSpace.from_json_dict(case["table"])
+
+
+# Every topology probe's answer, the property suite's and the 1/2 net's and
+# cover's on every catalog sample, on random_pm_space(seed, n) for seeds 0-2,
+# n 1-10, with and without zero_f, and on small integer tables as written,
+# valid or failing P1, P2, P3 or P4, as they were when the minimal balls
+# were bool rows rebuilt on each call.
+TOPOLOGY_GOLDEN = json.loads((Path(__file__).parent / "topology_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", TOPOLOGY_GOLDEN, ids=[case["name"] for case in TOPOLOGY_GOLDEN])
+def test_topology_probes_are_golden(case):
+    got = topology_outcomes(topology_case_space(case))
+    assert json.dumps(got) == json.dumps(case["outcomes"])
