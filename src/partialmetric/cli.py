@@ -370,10 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--cond", choices=tuple(CONDITIONS))
     fp.add_argument("--alpha")
     fp.add_argument("--alpha-grid", dest="alpha_grid")
-    fp.add_argument("--k", type=int)
+    fp.add_argument("--k", type=int, help="min-condition depth (default 1): at most n^2 steps per "
+                    "pair on a table; an orbit that never repeats runs all k, on ~k-bit values")
     fp.add_argument("--from", dest="start")
     fp.add_argument("--tol")
-    fp.add_argument("--budget", type=int)
+    fp.add_argument("--budget", type=int, help="iterate at most this many steps (default 10000)")
     fp.add_argument("--json", action="store_true")
     fp.set_defaults(fn=_cmd_fixedpoint)
 

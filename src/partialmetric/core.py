@@ -191,6 +191,11 @@ class FinitePMSpace:
                   for key, (a, b) in cells[hit.code].items()}
         return AxiomReport("fail", AXIOM_NAMES[hit.code], witness, values)
 
+    @cached_property
+    def _minimal_balls(self) -> tuple[int, ...]:
+        """The masks of :func:`minimal_balls`, built on first use and kept."""
+        return tuple(_ball_rule(self, 1))
+
     def p(self, x: Point, y: Point) -> Fraction:
         return self.matrix[self.index(x)][self.index(y)]
 
@@ -319,11 +324,7 @@ def bottom_set(space: FinitePMSpace) -> tuple[Point, ...]:
 
 
 def _radius(space: FinitePMSpace, eps: Fraction) -> int:
-    """eps in units of 1/den, rounded up: the ball rule on integer rows.
-
-    An integer is below r iff it is below ceil(r), so y lies in the ball
-    of radius eps around c iff ``num[c][y] < num[c][c] + _radius(space, eps)``.
-    """
+    """eps in units of 1/den, rounded up: an integer is below r iff it is below ceil(r)."""
     return math.ceil(eps * space.den)
 
 
@@ -344,13 +345,15 @@ def ball_masks(space: FinitePMSpace, eps: Fraction) -> list[int]:
     The masks answer what :func:`ball` answers, by the same rule, without
     building or hashing a point. Cost: O(n^2).
     """
-    r = _radius(space, eps)
+    return _ball_rule(space, _radius(space, eps))
+
+
+def _ball_rule(space: FinitePMSpace, r: int) -> list[int]:
+    """Ball masks at integer radius r: bit y of entry c is set iff num[c][y] < num[c][c] + r."""
     bits = [1 << y for y in range(len(space))]
-    masks = []
-    for c, row in enumerate(space.num):
-        bound = row[c] + r
-        masks.append(sum([bit for bit, v in zip(bits, row) if v < bound]))
-    return masks
+    bounds = [row[c] + r for c, row in enumerate(space.num)]
+    return [sum([bit for bit, v in zip(bits, row) if v < bound])
+            for row, bound in zip(space.num, bounds)]
 
 
 def diameter(space: FinitePMSpace) -> Fraction:
@@ -358,16 +361,16 @@ def diameter(space: FinitePMSpace) -> Fraction:
     return Fraction(max(map(max, space.num)), space.den)
 
 
-def minimal_balls(space: FinitePMSpace) -> tuple[tuple[bool, ...], ...]:
-    """Row x marks every y that lies in every ball around x: p(x,y) <= p(x,x).
+def minimal_balls(space: FinitePMSpace) -> tuple[int, ...]:
+    """Mask x has bit y set iff y lies in every ball around x: p(x,y) <= p(x,x).
 
-    Balls shrink with the radius and membership changes only at the gaps
-    p(x,y) - p(x,x), so row x is the smallest ball around x, reached at
-    any radius up to the least positive gap. It fixes the ball topology of
-    a finite table, valid or not. Row x always marks x. Cost: O(n^2).
+    Membership changes only at the gaps p(x,y) - p(x,x), multiples of
+    1/den, so mask x, the ball at radius 1/den, is the smallest ball around
+    x; it fixes the ball topology of a table, valid or not. The index masks
+    are built once, by the rule of :func:`ball_masks`, in O(n^2), and kept.
     """
     require_table(space, "minimal_balls")
-    return tuple(tuple(v <= row[i] for v in row) for i, row in enumerate(space.num))
+    return space._minimal_balls
 
 
 def least_gap(space: FinitePMSpace) -> Optional[Fraction]:
@@ -384,19 +387,19 @@ class SeparationClass(Record):
 
 
 def separation_class(space: FinitePMSpace) -> SeparationClass:
-    """Separation verdicts of the ball topology, read from :func:`minimal_balls`.
+    """Separation verdicts of the ball topology, read from the kept masks of :func:`minimal_balls`.
 
-    A ball around x leaves y out at some radius iff row x does not mark
-    y. So T0 holds iff no two distinct points mark each other, and T1
-    iff every row marks only its own point. Two points are separated by
-    balls iff their smallest balls are disjoint, and a mark of y in row
-    x puts y in both; so Hausdorff is T1 here. Cost: O(n^2).
+    A ball around x leaves y out at some radius iff mask x, the ball at
+    radius 1/den, does not hold y. So T0 holds iff no two distinct points
+    hold each other, and T1 iff every mask holds only its own point. Two
+    points are separated by balls iff their smallest balls are disjoint,
+    and y in mask x puts y in both; so Hausdorff is T1 here. Cost: O(n^2).
     """
     require_table(space, "separation_class")
     rel = minimal_balls(space)
-    marks = [(i, j) for i, row in enumerate(rel) for j, on in enumerate(row) if on and i != j]
-    t1 = not marks
-    return SeparationClass(not any(rel[j][i] for i, j in marks), t1, t1)
+    t1 = all(mask == 1 << x for x, mask in enumerate(rel))
+    t0 = not any(rel[x] >> y & rel[y] >> x & 1 for x in range(len(rel)) for y in range(x))
+    return SeparationClass(t0, t1, t1)
 
 
 # The derived metrics as integer tables over ``den``. No entry point builds

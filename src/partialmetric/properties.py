@@ -40,6 +40,7 @@ from .core import (
     bottom_set,
     check_axioms,
     least_gap,
+    minimal_balls,
     require_table,
     separation_class,
 )
@@ -69,15 +70,14 @@ class PropertyRunResult(Record):
         return not self.failures
 
 
-def _partial_order_problems(matrix) -> list[str]:
+def _partial_order_problems(masks) -> list[str]:
     """Reflexivity, antisymmetry and transitivity of a relation, on bitmask rows.
 
     Row i is a mask of the j it marks; transitivity is "every row that
     row i marks is a subset of row i", n^2 mask tests. Reports the first
     failure of each kind.
     """
-    masks = [sum(1 << j for j, on in enumerate(row) if on) for row in matrix]
-    pairs = [(i, j) for i, row in enumerate(matrix) for j, on in enumerate(row) if on]
+    pairs = [(i, j) for i, mask in enumerate(masks) for j in range(len(masks)) if mask >> j & 1]
     problems = [f"specialization order: not reflexive at {i}"
                 for i, mask in enumerate(masks) if not mask >> i & 1][:1]
     problems += [f"specialization order: not antisymmetric at ({i},{j})"
@@ -97,9 +97,9 @@ def _metrizability_problems(space: FinitePMSpace, balls: list[int], hats) -> lis
     A finite valid table is Hausdorff iff it is T1, iff its diagonal is
     the ball-product intersection, iff every point is maximal, iff every
     ball at the deciding radius is a singleton; its topology is then
-    discrete, that of p_m. The last verdict comes from the index masks
-    of ``core.ball_masks``, not from the minimal-ball relation that the
-    other four read, and so does the reported pair.
+    discrete, that of p_m. The last verdict comes from ``core.ball_masks``
+    at that radius, not from the minimal-ball masks the table keeps and
+    the other four read, and so does the reported pair.
     """
     sep, gd = separation_class(space), gdelta_diagonal(space)
     verdicts = {"hausdorff": sep.hausdorff, "t1": sep.t1, "equals_diagonal": gd.equals_diagonal,
@@ -129,7 +129,7 @@ def check_space_properties(space: FinitePMSpace) -> list[str]:
         return problems
 
     order = specialization_order(space)
-    problems += _partial_order_problems(order.dominates)
+    problems += _partial_order_problems(minimal_balls(space))
     m, n = space.num, len(space)
     for i in range(n):
         for j in range(n):

@@ -633,13 +633,12 @@ def test_sequence_analyzers_are_golden(name):
 def topology_outcomes(space):
     """Each topology probe's JSON on one table, or the error type and message it raised.
 
-    The minimal balls are their marked (x, y) id pairs, read from bool
-    rows or index masks alike, so the golden does not pin their type.
+    The minimal balls are their marked (x, y) id pairs, so the golden
+    does not pin the type they are returned in.
     """
     ids = [format_point(p) for p in space.points]
-    rows = minimal_balls(space)
-    marked = [[x, y] for i, x in enumerate(ids) for j, y in enumerate(ids)
-              if (rows[i] >> j & 1 if isinstance(rows[i], int) else rows[i][j])]
+    masks = minimal_balls(space)
+    marked = [[x, y] for i, x in enumerate(ids) for j, y in enumerate(ids) if masks[i] >> j & 1]
     half = Fraction(1, 2)
     return {
         "separation_class": outcome(lambda: separation_class(space)),

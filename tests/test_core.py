@@ -1,6 +1,7 @@
 """Core types, axiom verdicts, derived metrics, separation."""
 
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from partialmetric import (
     rho_of,
     separation_class,
 )
-from partialmetric.core import d_matrix, p_bar_matrix, p_m_matrix
+from partialmetric.core import ball_masks, d_matrix, least_gap, p_bar_matrix, p_m_matrix
 from partialmetric import kernels
 
 from oracles import axiom_violation, metric_violation, separation_by_radius_scan
@@ -233,9 +234,23 @@ class TestSeparation:
     def test_minimal_balls_mark_what_every_ball_holds(self):
         # b lies in every ball around a (p(a,b) <= p(a,a)) though the table fails P2.
         sp = FinitePMSpace(["a", "b"], [["2", "1"], ["1", "0"]])
-        assert minimal_balls(sp) == ((True, True), (False, True))
+        assert minimal_balls(sp) == (0b11, 0b10)
         trunc = catalog_space("ex5.6").finite_sample()
-        assert all(minimal_balls(trunc)[trunc.index(F(0))])
+        assert minimal_balls(trunc)[trunc.index(F(0))] == (1 << len(trunc)) - 1
+        # Random integer tables, valid or not, and valid random spaces: mask x
+        # holds y iff p(x,y) <= p(x,x), and the masks are the balls at half
+        # the least gap (at radius 1 when there is none).
+        rng = random.Random("minimal-balls")
+        sizes = [rng.randint(1, 6) for _ in range(300)]
+        spaces = [FinitePMSpace(range(n), [[rng.randint(0, 4) for _ in range(n)] for _ in range(n)])
+                  for n in sizes]
+        spaces += [random_pm_space(seed, seed % 7 + 1) for seed in range(30)]
+        for sp in spaces:
+            m, rel = sp.matrix, minimal_balls(sp)
+            assert all((rel[x] >> y & 1 == 1) == (m[x][y] <= m[x][x])
+                       for x in range(len(sp)) for y in range(len(sp)))
+            gap = least_gap(sp)
+            assert list(rel) == ball_masks(sp, gap / 2 if gap is not None else F(1))
 
     def test_hausdorff_matches_radius_scan_oracle(self):
         spaces = [random_pm_space(s, s % 6 + 2) for s in range(30)]

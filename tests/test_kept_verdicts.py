@@ -1,24 +1,33 @@
-"""A table's axiom verdict is scanned once, and a catalog space builds its table once.
+"""A table's axiom verdict is scanned once, its minimal balls are built once, and a
+catalog space builds its table once.
 
-Both are kept on first use: a table is not changed after construction,
-so every later ``check_axioms`` call, and every probe that reads the
-verdict through it, answers from the kept report.
+All are kept on first use: a table is not changed after construction,
+so every later ``check_axioms`` or ``minimal_balls`` call, and every
+probe that reads the verdict or the balls through them, answers from
+what the table keeps.
 """
 
 from dataclasses import replace
+from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
 from partialmetric import (
+    FinitePMSpace,
     catalog_names,
     catalog_space,
     check_axioms,
     check_space_properties,
+    gdelta_diagonal,
     get_entry,
     kernels,
     maximal_points,
+    minimal_balls,
     random_pm_space,
+    separation_class,
     specialization_order,
+    totally_bounded_at,
 )
 from partialmetric.facts import run_fact_suite
 
@@ -51,9 +60,40 @@ def test_the_probes_read_the_kept_verdict(scans):
     sp = random_pm_space(3, 6)
     report = check_axioms(sp)
     assert check_axioms(sp) is report
+    assert minimal_balls(sp) is minimal_balls(sp)
     specialization_order(sp)
     maximal_points(sp)
     assert scans == [sp.num]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The tables whose minimal balls are built, in build order."""
+    seen = []
+    build = vars(FinitePMSpace)["_minimal_balls"].func
+
+    def counted(sp):
+        seen.append(sp)
+        return build(sp)
+
+    kept = cached_property(counted)
+    kept.__set_name__(FinitePMSpace, "_minimal_balls")
+    monkeypatch.setattr(FinitePMSpace, "_minimal_balls", kept)
+    return seen
+
+
+def test_one_build_of_the_minimal_balls_per_table(builds):
+    for seed in range(12):
+        sp = random_pm_space(seed, seed % 7 + 1)
+        for _ in range(2):
+            assert check_space_properties(sp) == []
+            totally_bounded_at(sp, Fraction(1, 2))
+            separation_class(sp)
+            gdelta_diagonal(sp)
+            specialization_order(sp)
+            maximal_points(sp)
+            assert builds == [sp]
+        builds.clear()
 
 
 def test_one_scan_per_catalog_table_in_the_fact_suite(scans):

@@ -36,12 +36,12 @@ def test_a_mark_dropped_from_the_relation_is_reported(monkeypatch, space, drop, 
     real = core.minimal_balls
 
     def dropped(sp):
-        rows = [list(row) for row in real(sp)]
-        rows[drop[0]][drop[1]] = False
-        return tuple(map(tuple, rows))
+        masks = list(real(sp))
+        masks[drop[0]] &= ~(1 << drop[1])
+        return tuple(masks)
 
-    monkeypatch.setattr(core, "minimal_balls", dropped)
-    monkeypatch.setattr(analysis, "minimal_balls", dropped)
+    for module in (core, analysis, properties):
+        monkeypatch.setattr(module, "minimal_balls", dropped)
     assert reported in check_space_properties(space)
 
 
