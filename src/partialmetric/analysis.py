@@ -328,10 +328,12 @@ def specialization_order(space: FinitePMSpace) -> SpecializationOrder:
     On a valid table p(x,x) <= p(y,x) = p(x,y), so the relation's
     p(x,y) <= p(x,x) is p(x,y) = p(x,x). That it is then a partial order
     is checked once, by the property suite. Cost: O(n^2), to spell the
-    table's kept index masks as the report's bool rows.
+    table's kept index masks as the report's bool rows, each read from
+    the mask's binary digits, lowest bit first.
     """
     rel = _order_masks(space, "specialization_order")
-    rows = tuple(tuple(mask >> y & 1 == 1 for y in range(len(rel))) for mask in rel)
+    digits = f"0{len(rel)}b"
+    rows = tuple(tuple([c == "1" for c in format(mask, digits)[::-1]]) for mask in rel)
     return SpecializationOrder(space.points, rows)
 
 
@@ -364,7 +366,9 @@ def gdelta_diagonal(space: FinitePMSpace) -> GDeltaReport:
     intersection equals the set at n0 = ceil(1/g). There the ball around
     c is mask c of :func:`core.minimal_balls`, and the union of its
     squares is the diagonal iff every mask holds only its own point: the
-    T1 test. Cost: O(n^2), whatever the table values.
+    T1 test. The least gap and the masks are kept on the table, so once
+    they are built (O(n^2) each, on first use) this costs what
+    :func:`core.separation_class` does, whatever the table values.
     """
     require_table(space, "gdelta_diagonal")
     t1 = separation_class(space).t1

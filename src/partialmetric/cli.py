@@ -126,7 +126,7 @@ def _cmd_analyze(args) -> int:
                  + (f" a={format_value(rep.a)}" if rep.a is not None else "")]
         _emit(rep, lines, args.json)
         return 0 if ok else 1
-    if not args.target:
+    if args.target is None:
         raise StructureError("plain/proper analysis needs --target")
     target, = read_points([args.target], space.canonical_sample)
     fn = properly_converges if args.mode == "proper" else converges_to

@@ -30,6 +30,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable
 
 from .analysis import gdelta_diagonal, maximal_points, specialization_order
@@ -43,6 +44,7 @@ from .core import (
     minimal_balls,
     require_table,
     separation_class,
+    set_bits,
 )
 from .fixedpoint import check_condition_max, exhaustive_condition_maps
 from .points import Record
@@ -73,11 +75,12 @@ class PropertyRunResult(Record):
 def _partial_order_problems(masks) -> list[str]:
     """Reflexivity, antisymmetry and transitivity of a relation, on bitmask rows.
 
-    Row i is a mask of the j it marks; transitivity is "every row that
-    row i marks is a subset of row i", n^2 mask tests. Reports the first
-    failure of each kind.
+    Row i is a mask of the j it marks; the pairs (i, j) are read from the
+    set bits alone, and transitivity is "every row that row i marks is a
+    subset of row i", one mask test per pair. Reports the first failure
+    of each kind.
     """
-    pairs = [(i, j) for i, mask in enumerate(masks) for j in range(len(masks)) if mask >> j & 1]
+    pairs = [(i, j) for i, mask in enumerate(masks) for j in set_bits(mask)]
     problems = [f"specialization order: not reflexive at {i}"
                 for i, mask in enumerate(masks) if not mask >> i & 1][:1]
     problems += [f"specialization order: not antisymmetric at ({i},{j})"
@@ -131,9 +134,9 @@ def check_space_properties(space: FinitePMSpace) -> list[str]:
     order = specialization_order(space)
     problems += _partial_order_problems(minimal_balls(space))
     m, n = space.num, len(space)
-    for i in range(n):
-        for j in range(n):
-            if i != j and order.dominates[i][j] and not (m[i][j] == m[i][i] > m[j][j]):
+    for i, row in enumerate(order.dominates):
+        for j in compress(range(n), row):
+            if i != j and not (m[i][j] == m[i][i] > m[j][j]):
                 problems.append(f"dominance values broken at ({i},{j})")
 
     # The deciding radius: below every positive gap, so each ball is the
@@ -144,9 +147,8 @@ def check_space_properties(space: FinitePMSpace) -> list[str]:
     balls = ball_masks(space, eps)
     hats = maximal_points(space)
     covered = 0
-    for x, b in zip(space.points, balls):
-        if x in hats:
-            covered |= b
+    for x in hats:
+        covered |= balls[space.index(x)]
     if covered != (1 << n) - 1:
         problems.append(f"maximal cover: maximal balls fail to cover at radius {eps}")
     problems += _metrizability_problems(space, balls, hats)

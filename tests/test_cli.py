@@ -167,6 +167,18 @@ class TestAnalyze:
         assert f"horizon {MAX_HORIZON + 1} is past the cap of {MAX_HORIZON}" in err
         assert time.monotonic() - start < 1
 
+    @pytest.mark.parametrize("mode", ["plain", "proper"])
+    def test_an_empty_target_is_an_id_past_the_cap_too(self, capsys, mode):
+        # "--target=" names the empty id, which ex3.2 does not hold: it is not a missing --target.
+        code, out, err = run(capsys, "analyze", "seq", "--space", "ex3.2", "--seq", "ex3.2.alt",
+                             "--target=", "--mode", mode, "--horizon", str(MAX_HORIZON + 1))
+        assert code == 2 and out == ""
+        assert "is not in ex3.2" in err and "needs --target" not in err
+
+    def test_a_missing_target_still_needs_target(self, capsys):
+        code, out, err = run(capsys, "analyze", "seq", "--space", "ex3.2", "--seq", "ex3.2.alt")
+        assert code == 2 and out == "" and "plain/proper analysis needs --target" in err
+
     def test_help_names_the_horizon_cap(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "seq", "--help"])

@@ -24,7 +24,7 @@ import os
 import tempfile
 import time
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from partialmetric import catalog_names, get_entry
@@ -219,6 +219,9 @@ SMALL_TERM_SEQS = ("ex3.2.alt", "ex4.8.naturals", "ex5.5.recip", "ex5.6.tail")
 @given(seq=st.sampled_from(SMALL_TERM_SEQS), target=st.sampled_from(POINT_IDS),
        mode=st.sampled_from(("plain", "proper", "cauchy")),
        horizon=st.sampled_from((MAX_HORIZON, MAX_HORIZON + 1)), by_file=st.booleans())
+# An empty target id is an id, not a missing --target.
+@example(seq="ex3.2.alt", target="", mode="plain", horizon=MAX_HORIZON + 1, by_file=False)
+@example(seq="ex4.8.naturals", target="", mode="proper", horizon=MAX_HORIZON + 1, by_file=True)
 def test_horizon_cap_keeps_the_exit_contract(seq, target, mode, horizon, by_file):
     argv = ["analyze", "seq", "--space", seq.rsplit(".", 1)[0], f"--target={target}",
             "--mode", mode, "--json"]

@@ -256,6 +256,11 @@ class TestSeparation:
         spaces = [random_pm_space(s, s % 6 + 2) for s in range(30)]
         spaces += [catalog_space(n).finite_sample()
                    for n in ("ex3.2", "ex5.5", "ex5.6", "ex5.8")]
+        # Random integer tables, valid or not, so that T0 fails on many of them.
+        rng = random.Random("separation")
+        sizes = [rng.randint(1, 6) for _ in range(400)]
+        spaces += [FinitePMSpace(range(n), [[rng.randint(0, 4) for _ in range(n)] for _ in range(n)])
+                   for n in sizes]
         for sp in spaces:
             sep = separation_class(sp)
             assert (sep.t0, sep.t1, sep.hausdorff) == separation_by_radius_scan(sp.matrix)
