@@ -70,7 +70,7 @@ def _resolve_space(arg: str) -> tuple[Optional[CatalogEntry], Union[FinitePMSpac
         entry = get_entry(arg)
         return entry, entry.space
     path = Path(arg)
-    if not path.exists():
+    if not arg or not path.exists():  # Path("") is the working directory
         raise StructureError(f"{arg!r} is neither a catalog id nor a file")
     return None, FinitePMSpace.from_json(path.read_text())
 
@@ -83,7 +83,7 @@ def _resolve_sequence(arg: str, horizon: Optional[int],
     except PMError:
         pass
     path = Path(arg)
-    if not path.exists():
+    if not arg or not path.exists():
         raise StructureError(f"{arg!r} is neither a sequence id nor a file")
     doc = read_json(path.read_text())
     if not isinstance(doc, dict):
@@ -256,7 +256,7 @@ def _cmd_fixedpoint(args) -> int:
     _refuse_unread(args, action, reads)
     entry, space = _resolve_space(args.space)
     if args.action in ("check", "iterate"):
-        if not args.map:
+        if args.map is None:
             raise StructureError(f"fixedpoint {args.action} needs --map")
         T = catalog_map(args.map, space.canonical_sample)
     if args.action == "check":
@@ -269,7 +269,7 @@ def _cmd_fixedpoint(args) -> int:
         _emit(rep, lines, args.json)
         return 0 if rep.ok else 1
     if args.action == "iterate":
-        if not args.start:
+        if args.start is None:
             raise StructureError("fixedpoint iterate needs --from")
         x0, = read_points([args.start], space.canonical_sample)
         tol = DEFAULT_TOL if args.tol is None else parse_rational(args.tol)
@@ -301,11 +301,11 @@ def _cmd_catalog(args) -> int:
         _emit({"spaces": names}, names, args.json)
         return 0
     if args.action == "export":
-        if not args.name:
+        if args.name is None:
             raise StructureError("catalog export needs a space id")
         _emit(get_entry(args.name).space.finite_sample(), [], True)
         return 0
-    names = None if args.all or not args.name else [args.name]  # the action is "verify"
+    names = None if args.all or args.name is None else [args.name]  # the action is "verify"
     suite = run_fact_suite(names)
     lines = [f"{'PASS' if r.ok else 'FAIL'} {r.fact_id}: {r.details}" for r in suite.results]
     lines.append(f"{suite.passed} passed, {suite.failed} failed")

@@ -36,3 +36,6 @@ class AxiomFailureError(PMError):
 
 class CatalogKeyError(PMError, KeyError):
     """Unknown catalog identifier."""
+
+    def __str__(self) -> str:  # KeyError's own gives the bare repr of the id
+        return f"unknown catalog id {self.args[0]!r}"

@@ -1,13 +1,15 @@
 """Structural property suite over randomly generated spaces.
 
-Every generated table must pass the axiom scan, the specialization
-relation must be a partial order whose maximal balls cover the space,
-the five finite forms of "Hausdorff, hence metrizable" must agree, and
-every enumerated max-condition survivor must keep the bottom set
-invariant and contract under the shifted metric. The topology probes
-compute; each invariant they rest on is checked here, once.
+Every generated table must pass the axiom scan, its minimal-ball
+relation must be a partial order whose marked pairs carry the dominance
+values, the minimal balls of its maximal points must cover it, it must
+be T1 iff every point is maximal (the paper's second claim on a finite
+table: Hausdorff, hence metrizable), and every enumerated max-condition
+survivor must keep the bottom set invariant and contract under the
+shifted metric. The topology probes compute; the suite keeps only the
+checks whose two sides run different code, and each runs once here.
 
-Two invariants are theorems, so no check compares them:
+The rest are theorems, so no check compares them:
 
 - The constant-map bottom is the bottom set, by the theorem that
   ``fixedpoint.constant_map_bottom`` states.
@@ -23,6 +25,31 @@ Two invariants are theorems, so no check compares them:
     p(x,z) <= p(x,y) + p(y,z) - p(y,y) <= p(x,y) + p(y,z) by P4;
   - p_bar = p - rho on the bottom set B: every p(x,x) there is rho, so
     p_bar is p_m / 2 on B.
+- The kept masks of ``core.minimal_balls`` are the balls at half the
+  least positive gap g. In units of 1/den the masks use radius 1, and
+  half the gap rounds up to ceil(g/2), with 1 <= ceil(g/2) <= g. Every
+  gap is an integer, and one below either radius is at most 0, since a
+  positive one is at least g. With no positive gap, every positive
+  radius gives these balls.
+- The Hausdorff verdict of ``core.separation_class`` and the
+  ``equals_diagonal`` verdict of ``analysis.gdelta_diagonal`` are the T1
+  verdict of ``separation_class`` by construction: two points are separated by balls iff their
+  smallest balls are disjoint, and the diagonal is the union of the
+  squares of the smallest balls iff each holds only its own point.
+
+Two more theorems are what the suite's checks hold the probes to, since
+each side of them is computed by different code:
+
+- On a table that passes P1-P4 the relation "mask x holds y", that is
+  p(x,y) <= p(x,x), is a partial order. It is reflexive. It is
+  antisymmetric: with P2, x and y holding each other give
+  p(x,x) = p(x,y) = p(y,y), which P1 excludes for x != y. It is
+  transitive: p(x,y) = p(x,x) and p(y,z) = p(y,y) give, by P4,
+  p(x,z) <= p(x,y) + p(y,z) - p(y,y) = p(x,x). A marked pair x != y
+  carries the dominance values p(x,y) = p(x,x) > p(y,y): P2 gives
+  p(x,y) >= p(x,x) and p(y,y) <= p(x,y), and P1 excludes equality.
+- T1 holds iff every point is maximal: both say that no mask holds a
+  point besides its own.
 """
 
 from __future__ import annotations
@@ -33,14 +60,12 @@ from fractions import Fraction
 from itertools import compress
 from typing import Iterable
 
-from .analysis import gdelta_diagonal, maximal_points, specialization_order
+from .analysis import maximal_points, specialization_order
 from .catalog import random_pm_space
 from .core import (
     FinitePMSpace,
-    ball_masks,
     bottom_set,
     check_axioms,
-    least_gap,
     minimal_balls,
     require_table,
     separation_class,
@@ -94,27 +119,22 @@ def _partial_order_problems(masks) -> list[str]:
     return problems
 
 
-def _metrizability_problems(space: FinitePMSpace, balls: list[int], hats) -> list[str]:
-    """The paper's second claim on a finite table: five verdicts that must agree.
+def _metrizability_problems(space: FinitePMSpace, masks: tuple[int, ...], hats) -> list[str]:
+    """The paper's second claim on a finite table: T1 iff every point is maximal.
 
-    A finite valid table is Hausdorff iff it is T1, iff its diagonal is
-    the ball-product intersection, iff every point is maximal, iff every
-    ball at the deciding radius is a singleton; its topology is then
-    discrete, that of p_m. The last verdict comes from ``core.ball_masks``
-    at that radius, not from the minimal-ball masks the table keeps and
-    the other four read, and so does the reported pair.
+    A finite valid table is Hausdorff iff it is T1, and its topology is
+    then discrete, that of p_m. ``separation_class`` reads T1 from the
+    masks and ``maximal_points`` the maximal points; on a disagreement
+    the first pair whose minimal balls meet is read from the kept masks.
     """
-    sep, gd = separation_class(space), gdelta_diagonal(space)
-    verdicts = {"hausdorff": sep.hausdorff, "t1": sep.t1, "equals_diagonal": gd.equals_diagonal,
-                "every point maximal": len(hats) == len(space),
-                "singleton balls": all(b.bit_count() == 1 for b in balls)}
-    if len(set(verdicts.values())) == 1:
+    t1, every_maximal = separation_class(space).t1, len(hats) == len(masks)
+    if t1 == every_maximal:
         return []
-    n = len(balls)
-    meet = next((f"({i},{j})" for i in range(n) for j in range(i + 1, n) if balls[i] & balls[j]),
+    n = len(masks)
+    meet = next((f"({i},{j})" for i in range(n) for j in range(i + 1, n) if masks[i] & masks[j]),
                 "none")
-    said = ", ".join(f"{k}={v}" for k, v in verdicts.items())
-    return [f"metrizability: {said} disagree; first pair whose minimal balls meet: {meet}"]
+    return [f"metrizability: t1={t1}, every point maximal={every_maximal} disagree; "
+            f"first pair whose minimal balls meet: {meet}"]
 
 
 def check_space_properties(space: FinitePMSpace) -> list[str]:
@@ -122,7 +142,9 @@ def check_space_properties(space: FinitePMSpace) -> list[str]:
 
     A table that passes the axioms is not scanned for the metric axioms
     of p_m, d or p_bar on the bottom set: Matthews' lemma in the module
-    docstring proves them from P1-P4.
+    docstring proves them from P1-P4. No verdict that the lemmas there
+    make equal to another is compared with it, and no ball is rebuilt:
+    the checks read the masks the table keeps.
     """
     require_table(space, "check_space_properties")
     problems: list[str] = []
@@ -131,27 +153,24 @@ def check_space_properties(space: FinitePMSpace) -> list[str]:
         problems.append(f"axioms: {report.violated_axiom} at {report.witness}")
         return problems
 
-    order = specialization_order(space)
-    problems += _partial_order_problems(minimal_balls(space))
+    masks, order = minimal_balls(space), specialization_order(space)
+    problems += _partial_order_problems(masks)
     m, n = space.num, len(space)
     for i, row in enumerate(order.dominates):
         for j in compress(range(n), row):
             if i != j and not (m[i][j] == m[i][i] > m[j][j]):
                 problems.append(f"dominance values broken at ({i},{j})")
 
-    # The deciding radius: below every positive gap, so each ball is the
-    # smallest one around its center. Balls only grow with the radius, so
-    # a cover here is a cover at every radius. Balls are index masks.
-    gap = least_gap(space)
-    eps = gap / 2 if gap is not None else Fraction(1)
-    balls = ball_masks(space, eps)
+    # Each mask is the smallest ball around its center, at radius 1/den.
+    # Balls only grow with the radius, so a cover here is a cover at every radius.
     hats = maximal_points(space)
     covered = 0
     for x in hats:
-        covered |= balls[space.index(x)]
+        covered |= masks[space.index(x)]
     if covered != (1 << n) - 1:
-        problems.append(f"maximal cover: maximal balls fail to cover at radius {eps}")
-    problems += _metrizability_problems(space, balls, hats)
+        problems.append(f"maximal cover: maximal balls fail to cover at radius "
+                        f"{Fraction(1, space.den)}")
+    problems += _metrizability_problems(space, masks, hats)
 
     if n <= ENUMERATION_LIMIT:
         pts, at_bottom = space.points, [space.index(z) for z in bottom_set(space)]

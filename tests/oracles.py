@@ -8,8 +8,11 @@ gdelta_diagonal, maximal_points, constant_map_bottom and the
 max-condition enumeration once ran in full, the partial-order recheck
 that specialization_order once ran, and the map enumeration that
 exhaustive_condition_maps once ran: every self-map built as a MapSpec
-and passed to its checker (condition_maps_by_sweep). They reuse the
-package's other pieces unchanged. random_pm_space_by_fractions is the
+and passed to its checker (condition_maps_by_sweep). The topology
+references call no probe they are compared with: T1 comes from
+separation_by_radius_scan, the order from specialization_order_by_sweep
+and every ball from Fraction comparisons on the table; the others reuse
+the package's other pieces unchanged. random_pm_space_by_fractions is the
 generator as it once ran, on Fractions, and condition_min_by_loop the
 min-condition check as it once ran: all k iterate steps for every pair.
 table_by_cells reads a table one Fraction per cell, with no memo and no regex.
@@ -22,9 +25,9 @@ import math
 import random
 from fractions import Fraction
 
-from partialmetric.analysis import GDeltaReport, SpecializationOrder, specialization_order
+from partialmetric.analysis import GDeltaReport, SpecializationOrder
 from partialmetric.catalog import MapSpec
-from partialmetric.core import FinitePMSpace, ball, bottom_set, separation_class
+from partialmetric.core import FinitePMSpace, bottom_set
 from partialmetric.errors import AxiomFailureError
 from partialmetric.fixedpoint import (DEFAULT_ALPHA_GRID, ConditionReport, ConditionViolation,
                                       check_condition_max)
@@ -184,7 +187,7 @@ def specialization_order_by_sweep(space):
 def gdelta_by_sweep(space):
     """gdelta_diagonal by intersecting the product-ball sets at eps = 1/k, k = 1..n0."""
     m, n = space.matrix, len(space)
-    t1 = separation_class(space).t1
+    t1 = separation_by_radius_scan(m)[1]
     gaps = [m[i][j] - m[i][i] for i in range(n) for j in range(n) if m[i][j] > m[i][i]]
     n0 = max(1, math.ceil(1 / min(gaps))) if gaps else 1
 
@@ -203,19 +206,22 @@ def gdelta_by_sweep(space):
 
 
 def maximal_points_by_sweep(space):
-    """maximal_points with the maximal-ball cover checked at every candidate radius."""
-    order = specialization_order(space)
-    n = len(space)
+    """maximal_points with the maximal-ball cover checked at every candidate radius.
+
+    The order is specialization_order_by_sweep's, the balls are Fraction
+    comparisons on the table, as in separation_by_radius_scan.
+    """
+    order = specialization_order_by_sweep(space)
+    m, n = space.matrix, len(space)
     maximal = [j for j in range(n)
                if not any(i != j and order.dominates[i][j] for i in range(n))]
-    hats = frozenset(space.points[j] for j in maximal)
-    for eps in _candidate_radii(space.matrix):
+    for eps in _candidate_radii(m):
         covered = set()
-        for j in maximal:
-            covered |= ball(space, space.points[j], eps)
-        if covered != set(space.points):
+        for c in maximal:
+            covered |= {y for y in range(n) if m[c][y] < m[c][c] + eps}
+        if covered != set(range(n)):
             raise RuntimeError(f"maximal balls fail to cover at radius {eps}")
-    return hats
+    return frozenset(space.points[j] for j in maximal)
 
 
 def constant_map_bottom_by_sweep(space, alphas=DEFAULT_ALPHA_GRID):

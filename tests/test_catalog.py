@@ -63,11 +63,11 @@ class TestEvaluators:
             catalog_space("ex5.6").p(F(2, 3), F(1, 2))
 
     def test_unknown_name(self):
-        with pytest.raises(CatalogKeyError):
+        with pytest.raises(CatalogKeyError, match="^unknown catalog id 'ex9.9'$"):
             catalog_space("ex9.9")
-        with pytest.raises(CatalogKeyError):
+        with pytest.raises(CatalogKeyError, match="^unknown catalog id 'noneuse'$"):
             catalog_map("noneuse")
-        with pytest.raises(CatalogKeyError):
+        with pytest.raises(CatalogKeyError, match="^unknown catalog id 'nope'$"):
             catalog_sequence("nope")
 
 

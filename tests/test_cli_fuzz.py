@@ -14,7 +14,8 @@ the actions that read them, since any other is refused with exit 2. An
 example that takes 20 s or more fails. Horizons include one past the
 cap, which exits 2 before any term is read; a second property draws the
 cap itself and one past it, on catalog sequences whose terms stay small,
-by flag and by file.
+by flag and by file. A third puts the empty id in each id slot, which
+exits 2 with a message that names it.
 """
 
 import contextlib
@@ -245,3 +246,32 @@ def test_horizon_cap_keeps_the_exit_contract(seq, target, mode, horizon, by_file
         assert code in (0, 1, 2) and elapsed < 20, argv
         if code != 2:
             json.loads(out.getvalue())
+
+
+# The empty id names no catalog space, sequence, map or catalog point: each
+# slot refuses it by name with exit 2, and never reads it as a missing id.
+EMPTY_ID_ARGVS = (
+    ["axioms", "--space="],
+    ["topology", "order", "--space", ""],
+    ["analyze", "seq", "--space", "ex3.2", "--seq=", "--target", "1/2"],
+    ["fixedpoint", "check", "--space", "ex5.4", "--map="],
+    ["fixedpoint", "iterate", "--space", "ex5.4", "--map=", "--from", "0"],
+    ["fixedpoint", "iterate", "--space", "ex5.4", "--map", "ex5.4.T", "--from="],
+    ["catalog", "verify", ""],
+    ["catalog", "export", ""],
+)
+
+
+@settings(max_examples=16, deadline=None)
+@given(argv=st.sampled_from(EMPTY_ID_ARGVS), as_json=st.booleans())
+@example(argv=["catalog", "verify", ""], as_json=False)
+@example(argv=["catalog", "export", ""], as_json=True)
+@example(argv=["fixedpoint", "iterate", "--space", "ex5.4", "--map=", "--from", "0"], as_json=False)
+@example(argv=["fixedpoint", "iterate", "--space", "ex5.4", "--map", "ex5.4.T", "--from="],
+         as_json=True)
+def test_an_empty_id_is_refused_by_name(argv, as_json):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--json"] * as_json)
+    assert code == 2 and out.getvalue() == "", argv
+    assert "''" in err.getvalue() or "start  is not in the space" in err.getvalue(), argv

@@ -29,7 +29,7 @@ from partialmetric import (
 from partialmetric.core import ball_masks, d_matrix, least_gap, p_bar_matrix, p_m_matrix
 from partialmetric import kernels
 
-from oracles import axiom_violation, metric_violation, separation_by_radius_scan
+from oracles import axiom_violation, metric_violation
 
 F = Fraction
 
@@ -251,19 +251,6 @@ class TestSeparation:
                        for x in range(len(sp)) for y in range(len(sp)))
             gap = least_gap(sp)
             assert list(rel) == ball_masks(sp, gap / 2 if gap is not None else F(1))
-
-    def test_hausdorff_matches_radius_scan_oracle(self):
-        spaces = [random_pm_space(s, s % 6 + 2) for s in range(30)]
-        spaces += [catalog_space(n).finite_sample()
-                   for n in ("ex3.2", "ex5.5", "ex5.6", "ex5.8")]
-        # Random integer tables, valid or not, so that T0 fails on many of them.
-        rng = random.Random("separation")
-        sizes = [rng.randint(1, 6) for _ in range(400)]
-        spaces += [FinitePMSpace(range(n), [[rng.randint(0, 4) for _ in range(n)] for _ in range(n)])
-                   for n in sizes]
-        for sp in spaces:
-            sep = separation_class(sp)
-            assert (sep.t0, sep.t1, sep.hausdorff) == separation_by_radius_scan(sp.matrix)
 
     def test_valid_spaces_are_t0(self):
         for seed in range(20):

@@ -19,6 +19,7 @@ from partialmetric import (
     catalog_space,
     check_axioms,
     check_space_properties,
+    core,
     gdelta_diagonal,
     get_entry,
     kernels,
@@ -106,6 +107,24 @@ def test_one_build_of_the_minimal_balls_per_table(builds):
             maximal_points(sp)
             assert builds == [sp]
         builds.clear()
+
+
+def test_a_checked_table_builds_no_ball_again(monkeypatch):
+    rules = []
+    rule = core._ball_rule
+
+    def counted(sp, r):
+        rules.append((sp, r))
+        return rule(sp, r)
+
+    monkeypatch.setattr(core, "_ball_rule", counted)
+    for seed in range(12):
+        sp = random_pm_space(seed, seed % 7 + 1)
+        assert check_space_properties(sp) == []
+        assert rules == [(sp, 1)]
+        assert check_space_properties(sp) == []
+        assert rules == [(sp, 1)]
+        rules.clear()
 
 
 def test_one_least_gap_scan_per_table(gap_scans):

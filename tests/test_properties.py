@@ -6,13 +6,17 @@ from fractions import Fraction
 import pytest
 
 from partialmetric import (FinitePMSpace, MapSpec, analysis, bottom_set, core, properties,
-                           random_pm_space)
+                           random_pm_space, separation_class)
 from partialmetric.properties import check_space_properties, property_run
+
+from oracles import separation_by_radius_scan
 
 # a >= b: b lies in every ball around a, and a is the only maximal point.
 PAIR = FinitePMSpace(["a", "b"], [["1", "1"], ["1", "0"]])
 # a and b form the bottom set; c sits above it.
 BOTTOM_PAIR = FinitePMSpace(["a", "b", "c"], [["0", "2", "2"], ["2", "0", "2"], ["2", "2", "1"]])
+# Every point is its own smallest ball: the table is T1 and every point is maximal.
+DISCRETE = FinitePMSpace(["a", "b"], [["0", "1"], ["1", "0"]])
 # a >= b >= c, so a >= c too.
 CHAIN = FinitePMSpace(["a", "b", "c"], [["2", "2", "2"], ["2", "1", "1"], ["2", "1", "0"]])
 
@@ -24,15 +28,8 @@ def test_property_run_counts_an_iterator():
     assert result.to_dict()["spaces_checked"] == 12
 
 
-@pytest.mark.parametrize("space, drop, reported", [
-    (CHAIN, (2, 2), "specialization order: not reflexive at 2"),
-    (CHAIN, (0, 2), "specialization order: not transitive at (0,1,2)"),
-    (PAIR, (0, 1), "metrizability: hausdorff=True, t1=True, equals_diagonal=True, "
-                   "every point maximal=True, singleton balls=False disagree; "
-                   "first pair whose minimal balls meet: (0,1)"),
-], ids=["reflexive", "transitive", "metrizability"])
-def test_a_mark_dropped_from_the_relation_is_reported(monkeypatch, space, drop, reported):
-    assert check_space_properties(space) == []
+def _drop_mark(monkeypatch, drop):
+    """Clear bit drop[1] of mask drop[0] of every table's minimal balls, wherever it is read."""
     real = core.minimal_balls
 
     def dropped(sp):
@@ -42,7 +39,40 @@ def test_a_mark_dropped_from_the_relation_is_reported(monkeypatch, space, drop, 
 
     for module in (core, analysis, properties):
         monkeypatch.setattr(module, "minimal_balls", dropped)
+
+
+@pytest.mark.parametrize("space, drop, reported", [
+    (CHAIN, (2, 2), "specialization order: not reflexive at 2"),
+    (CHAIN, (0, 2), "specialization order: not transitive at (0,1,2)"),
+], ids=["reflexive", "transitive"])
+def test_a_mark_dropped_from_the_relation_is_reported(monkeypatch, space, drop, reported):
+    assert check_space_properties(space) == []
+    _drop_mark(monkeypatch, drop)
     assert reported in check_space_properties(space)
+
+
+def test_a_dropped_mark_that_leaves_an_order_is_left_to_the_sweeps(monkeypatch):
+    # Without PAIR's (0,1) every point is maximal and T1 holds, so no check of
+    # the suite fails; the radius scan builds its own balls and tells them apart.
+    assert check_space_properties(PAIR) == []
+    _drop_mark(monkeypatch, (0, 1))
+    assert check_space_properties(PAIR) == []
+    sep = separation_class(PAIR)
+    assert (sep.t0, sep.t1, sep.hausdorff) == (True, True, True)
+    assert separation_by_radius_scan(PAIR.matrix) == (True, False, False)
+
+
+@pytest.mark.parametrize("space, reported", [
+    (DISCRETE, ["maximal cover: maximal balls fail to cover at radius 1",
+                "metrizability: t1=True, every point maximal=False disagree; "
+                "first pair whose minimal balls meet: none"]),
+    (CHAIN, ["maximal cover: maximal balls fail to cover at radius 1"]),
+], ids=["t1", "chain"])
+def test_a_maximal_point_dropped_is_reported(monkeypatch, space, reported):
+    assert check_space_properties(space) == []
+    real = properties.maximal_points
+    monkeypatch.setattr(properties, "maximal_points", lambda sp: real(sp) - {sp.points[0]})
+    assert check_space_properties(space) == reported
 
 
 @pytest.mark.parametrize("images, reported", [
