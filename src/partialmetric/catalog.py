@@ -25,7 +25,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 
 from .analysis import SequenceSpec
 from .core import BottomDecl, FinitePMSpace, check_axioms
-from .errors import CatalogKeyError, DomainError, UnsupportedSequenceError
+from .errors import CatalogKeyError, DomainError, SizeLimitError, UnsupportedSequenceError
 from .points import FSet, Point, format_point, read_points
 
 F = Fraction
@@ -33,6 +33,9 @@ F = Fraction
 # validate_entry checks each canonical sample plus SAMPLE_COUNT points drawn with SAMPLE_SEED.
 SAMPLE_SEED = 0
 SAMPLE_COUNT = 24
+
+# random_pm_space refuses more points: its shortest paths take O(n^3) steps.
+MAX_RANDOM_POINTS = 200
 
 
 @dataclass(frozen=True, repr=False)
@@ -59,10 +62,19 @@ class CatalogSpace:
     def contains(self, x: Point) -> bool:
         return self.domain_predicate(x)
 
-    def p(self, x: Point, y: Point) -> Fraction:
-        for pt in (x, y):
+    def admit(self, points: Sequence[Point]) -> Sequence[Point]:
+        """``points``, once each is in the space; else a DomainError on the first that is not.
+
+        A caller that admitted its points reads their distances from
+        ``evaluator`` without checking them again at every pair.
+        """
+        for pt in points:
             if not self.contains(pt):
-                raise DomainError(f"point {format_point(pt)} is not in {self.name}")
+                raise DomainError(f"point {format_point(pt)!r} is not in {self.name}")
+        return points
+
+    def p(self, x: Point, y: Point) -> Fraction:
+        self.admit((x, y))
         return self.evaluator(x, y)
 
     def sample(self, seed: int, count: int) -> list[Point]:
@@ -74,7 +86,7 @@ class CatalogSpace:
 
     @cached_property
     def _table(self) -> FinitePMSpace:
-        return FinitePMSpace.from_function(self.canonical_sample, self.p)
+        return FinitePMSpace.from_function(self.admit(self.canonical_sample), self.evaluator)
 
 
 @dataclass(frozen=True)
@@ -544,10 +556,13 @@ def random_pm_space(seed: int, n: int, *, zero_f: bool = False) -> FinitePMSpace
     (d(x,y) + f(x) + f(y)) / 2. With zero_f the result is the metric d/2.
     Deterministic per (seed, n, zero_f). The weights are drawn in twelfths
     and the shortest paths run on their integer numerators, so the table
-    is built over 24. Cost: O(n^3) integer steps for the shortest paths.
+    is built over 24. Cost: O(n^3) integer steps for the shortest paths,
+    so more than ``MAX_RANDOM_POINTS`` points is a ``SizeLimitError``.
     """
     if n < 1:
         raise ValueError("need at least one point")
+    if n > MAX_RANDOM_POINTS:
+        raise SizeLimitError(f"{n} points is past the cap of {MAX_RANDOM_POINTS}")
     rng = random.Random(f"pm-random/{seed}/{n}/{int(zero_f)}")
     d = [[0] * n for _ in range(n)]  # twelfths
     for i in range(n):

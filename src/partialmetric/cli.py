@@ -29,6 +29,7 @@ from .analysis import (
     totally_bounded_at,
 )
 from .catalog import (
+    MAX_RANDOM_POINTS,
     CatalogEntry,
     CatalogSpace,
     catalog_map,
@@ -39,22 +40,11 @@ from .catalog import (
 )
 from .core import FinitePMSpace, check_axioms, separation_class
 from .errors import PMError, StructureError
-from .facts import run_fact_suite
-from .fixedpoint import (
-    DEFAULT_ALPHA,
-    DEFAULT_ALPHA_GRID,
-    DEFAULT_BUDGET,
-    check_condition_max,
-    check_condition_min,
-    check_contraction,
-    constant_map_bottom,
-    exhaustive_condition_maps,
-    iterate,
-    least_factor,
-)
 from .points import (format_point, format_value, parse_rational, read_json, read_list,
                      read_points, write_json)
-from .properties import property_run
+
+# `fixedpoint`, `facts` and `properties` are imported by the one command that
+# reads each, so the other commands start without them.
 
 
 def _emit(report, text_lines: list[str], as_json: bool) -> None:
@@ -228,27 +218,32 @@ def _cmd_topology(args) -> int:
     return 0
 
 
-# --cond -> (checker, the parameter flag `check` reads, the one `enumerate` reads).
+# --cond -> (the checker's name in `fixedpoint`, the parameter flag `check`
+# reads, the one `enumerate` reads).
 CONDITIONS = {
-    "contraction": (check_contraction, "--alpha", "--alpha"),
-    "max": (check_condition_max, "--alpha", "--alpha-grid"),
-    "min": (check_condition_min, "--k", "--k"),
+    "contraction": ("check_contraction", "--alpha", "--alpha"),
+    "max": ("check_condition_max", "--alpha", "--alpha-grid"),
+    "min": ("check_condition_min", "--k", "--k"),
 }
 
-# Parameter flag -> its value; enumeration under the max-condition checks
-# the least --alpha-grid factor.
+# Parameter flag -> its value, read with the `fixedpoint` module; enumeration
+# under the max-condition checks the least --alpha-grid factor.
 PARAMETERS = {
-    "--alpha": lambda args: DEFAULT_ALPHA if args.alpha is None else parse_rational(args.alpha),
-    "--alpha-grid": lambda args: least_factor(
-        DEFAULT_ALPHA_GRID if args.alpha_grid is None
+    "--alpha": lambda args, fixedpoint: (
+        fixedpoint.DEFAULT_ALPHA if args.alpha is None else parse_rational(args.alpha)),
+    "--alpha-grid": lambda args, fixedpoint: fixedpoint.least_factor(
+        fixedpoint.DEFAULT_ALPHA_GRID if args.alpha_grid is None
         else [parse_rational(s) for s in read_list(args.alpha_grid)]),
-    "--k": lambda args: 1 if args.k is None else args.k,
+    "--k": lambda args, fixedpoint: 1 if args.k is None else args.k,
 }
 
 
 def _cmd_fixedpoint(args) -> int:
+    from . import fixedpoint
+
     cond = args.cond or "max"
-    check, on_check, on_enumerate = CONDITIONS[cond]
+    check_name, on_check, on_enumerate = CONDITIONS[cond]
+    check = getattr(fixedpoint, check_name)
     action, reads = f"fixedpoint {args.action}", READS[f"fixedpoint {args.action}"]
     if args.action in ("check", "enumerate"):
         action += f" --cond {cond}"
@@ -260,7 +255,7 @@ def _cmd_fixedpoint(args) -> int:
             raise StructureError(f"fixedpoint {args.action} needs --map")
         T = catalog_map(args.map, space.canonical_sample)
     if args.action == "check":
-        rep = check(space, T, PARAMETERS[on_check](args))
+        rep = check(space, T, PARAMETERS[on_check](args, fixedpoint))
         lines = [f"{rep.condition}: {rep.verdict} over {rep.pairs_checked} {rep.scope} pairs"]
         if rep.violation:
             v = rep.violation
@@ -274,8 +269,8 @@ def _cmd_fixedpoint(args) -> int:
         x0, = read_points([args.start], space.canonical_sample)
         tol = DEFAULT_TOL if args.tol is None else parse_rational(args.tol)
         known = entry.known_fixed_points if entry else ()
-        budget = DEFAULT_BUDGET if args.budget is None else args.budget
-        tr = iterate(space, T, x0, tol=tol, budget=budget, known_fixed_points=known)
+        budget = fixedpoint.DEFAULT_BUDGET if args.budget is None else args.budget
+        tr = fixedpoint.iterate(space, T, x0, tol=tol, budget=budget, known_fixed_points=known)
         lines = [f"outcome: {tr.outcome} after {tr.steps} steps"]
         if tr.fixed_point is not None:
             lines.append(f"fixed point {format_point(tr.fixed_point)}")
@@ -285,11 +280,12 @@ def _cmd_fixedpoint(args) -> int:
         return 0 if tr.ok else 1
     finite = space.finite_sample()
     if args.action == "enumerate":
-        survivors = exhaustive_condition_maps(finite, check, PARAMETERS[on_enumerate](args))
+        factor = PARAMETERS[on_enumerate](args, fixedpoint)
+        survivors = fixedpoint.exhaustive_condition_maps(finite, check, factor)
         lines = [f"{len(survivors)} surviving maps"] + [T.name for T in survivors]
         _emit({"count": len(survivors), "maps": [T.name for T in survivors]}, lines, args.json)
         return 0
-    survivors = constant_map_bottom(finite)  # the action is "bottom"
+    survivors = fixedpoint.constant_map_bottom(finite)  # the action is "bottom"
     lines = ["constant-map bottom: " + ", ".join(format_point(p) for p in survivors)]
     _emit({"bottom": survivors}, lines, args.json)
     return 0
@@ -305,8 +301,9 @@ def _cmd_catalog(args) -> int:
             raise StructureError("catalog export needs a space id")
         _emit(get_entry(args.name).space.finite_sample(), [], True)
         return 0
-    names = None if args.all or args.name is None else [args.name]  # the action is "verify"
-    suite = run_fact_suite(names)
+    from . import facts  # the action is "verify"
+    names = None if args.all or args.name is None else [args.name]
+    suite = facts.run_fact_suite(names)
     lines = [f"{'PASS' if r.ok else 'FAIL'} {r.fact_id}: {r.details}" for r in suite.results]
     lines.append(f"{suite.passed} passed, {suite.failed} failed")
     _emit(suite, lines, args.json)
@@ -318,11 +315,12 @@ def _cmd_random(args) -> int:
         space = random_pm_space(args.seed, args.n, zero_f=args.zero_f)
         _emit(space, [f"seed {args.seed}, {args.n} points"], True)
         return 0
-    lo, _, hi = args.seeds.partition(":")  # the action is "property-run"
+    from . import properties  # the action is "property-run"
+    lo, _, hi = args.seeds.partition(":")
     seeds = range(int(lo), int(hi)) if hi else range(int(lo))
     if not seeds:
         raise StructureError(f"seed span {args.seeds!r} holds no seed")
-    result = property_run(seeds, max_n=args.max_n)
+    result = properties.property_run(seeds, max_n=args.max_n)
     lines = [f"seeds {seeds.start}..{seeds.stop - 1}, {result.spaces_checked} spaces, "
              f"{len(result.failures)} failures, {result.elapsed_seconds:.2f}s"]
     lines += [f"  seed {f.seed} (n={f.n}): {f.detail}" for f in result.failures]
@@ -388,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     rnd = sub.add_parser("random", help="generate random spaces, run the property suite")
     rnd.add_argument("action", choices=("generate", "property-run"))
     rnd.add_argument("--seed", type=int, default=0)
-    rnd.add_argument("-n", type=int, default=5)
+    rnd.add_argument("-n", type=int, default=5,
+                     help=f"points, 1 to {MAX_RANDOM_POINTS} (default 5): O(n^3) steps")
     rnd.add_argument("--zero-f", dest="zero_f", action="store_true")
     rnd.add_argument("--seeds", default="0:200")
     rnd.add_argument("--max-n", dest="max_n", type=int, default=7)

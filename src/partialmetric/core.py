@@ -168,7 +168,7 @@ class FinitePMSpace:
         try:
             return self._index[x]
         except KeyError:
-            raise DomainError(f"point {format_point(x)} is not in the space") from None
+            raise DomainError(f"point {format_point(x)!r} is not in the space") from None
 
     @cached_property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:

@@ -27,7 +27,8 @@ class UnsupportedSequenceError(PMError):
 
 class SizeLimitError(PMError):
     """Work past a size cap was refused: exhaustive enumeration over too large a
-    space, or a sequence horizon past ``analysis.MAX_HORIZON``."""
+    space, a sequence horizon past ``analysis.MAX_HORIZON``, or a random space
+    of more than ``catalog.MAX_RANDOM_POINTS`` points."""
 
 
 class AxiomFailureError(PMError):

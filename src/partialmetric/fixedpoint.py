@@ -175,7 +175,7 @@ def _check_run(space, x0: Point, tol: Fraction, budget: int) -> None:
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if not space.contains(x0):
-        raise DomainError(f"start {format_point(x0)} is not in the space")
+        raise DomainError(f"start {format_point(x0)!r} is not in the space")
 
 
 def iterate(space, T: MapSpec, x0: Point, tol: Fraction = DEFAULT_TOL,
@@ -258,7 +258,7 @@ def solve_on_bottom(space, T: MapSpec, alpha: Fraction, x0: Point,
     if bottom.members == ():
         raise MetadataError(f"{space!r} declares an empty bottom set")
     if not bottom.contains(x0):
-        raise ValueError(f"start {format_point(x0)} is not in the bottom set")
+        raise ValueError(f"start {format_point(x0)!r} is not in the bottom set")
     pre = check_condition_max(space, T, alpha)
     if not pre.ok:
         return BottomSolveReport("condition_violated", condition_report=pre)

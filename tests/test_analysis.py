@@ -398,9 +398,9 @@ class TestSeqCompactWitness:
     def test_cycle_term_outside_the_space_is_refused(self):
         sp = FinitePMSpace(ABC, [[0, 2, 3], [2, 1, 3], [3, 3, 2]])
         seq = SequenceSpec.periodic(("b", "c", "zzz"))
-        with pytest.raises(DomainError, match="point zzz is not in the space"):
+        with pytest.raises(DomainError, match="point 'zzz' is not in the space"):
             limit_set(sp, seq)
-        with pytest.raises(DomainError, match="point zzz is not in the space"):
+        with pytest.raises(DomainError, match="point 'zzz' is not in the space"):
             seq_compact_witness(sp, seq)
 
     @pytest.mark.parametrize("analyze", [
@@ -413,12 +413,12 @@ class TestSeqCompactWitness:
     def test_preamble_term_outside_the_space_is_refused(self, analyze):
         sp = FinitePMSpace(ABC, [[0, 2, 3], [2, 1, 3], [3, 3, 2]])
         seq = SequenceSpec.periodic(("b",), preamble=("a", "zzz"))
-        with pytest.raises(DomainError, match="point zzz is not in the space"):
+        with pytest.raises(DomainError, match="point 'zzz' is not in the space"):
             analyze(sp, seq)
 
     def test_preamble_term_outside_a_catalog_space_is_its_own_error(self):
         seq = SequenceSpec.periodic((F(0),), preamble=("zzz",))
-        with pytest.raises(DomainError, match="point zzz is not in ex5.4"):
+        with pytest.raises(DomainError, match="point 'zzz' is not in ex5.4"):
             converges_to(catalog_space("ex5.4"), seq, F(0))
 
     @pytest.mark.parametrize("analyze", [
@@ -435,7 +435,7 @@ class TestSeqCompactWitness:
     def test_explicit_term_outside_the_space_is_refused(self, analyze, space, x, where):
         # The tail is constant at x, so only a check of every term catches zzz.
         seq = SequenceSpec.explicit(["zzz"] + [x] * 20)
-        with pytest.raises(DomainError, match=f"point zzz is not in {where}"):
+        with pytest.raises(DomainError, match=f"point 'zzz' is not in {where}"):
             analyze(space, seq, x)
 
     @pytest.mark.parametrize("analyze", [
@@ -454,7 +454,7 @@ class TestSeqCompactWitness:
         # x_1 = r is outside; the tail is x, or alternates x with q when odd is q.
         seq = SequenceSpec.from_generator(
             lambda n: "r" if n == 1 else (odd or x) if n % 2 else x)
-        with pytest.raises(DomainError, match=f"point r is not in {where}"):
+        with pytest.raises(DomainError, match=f"point 'r' is not in {where}"):
             analyze(space, seq, x)
 
     def test_explicit_terms_past_the_horizon_are_not_read(self):
@@ -462,7 +462,7 @@ class TestSeqCompactWitness:
         seq = SequenceSpec.explicit(["b"] * 20 + ["zzz"])
         assert limit_set(sp, seq, horizon=20) == {"b"}
         assert is_cauchy(sp, seq, horizon=20).verdict == "cauchy_to"
-        with pytest.raises(DomainError, match="point zzz is not in the space"):
+        with pytest.raises(DomainError, match="point 'zzz' is not in the space"):
             is_cauchy(sp, seq, horizon=21)
 
     @pytest.mark.parametrize("terms, limit, progression", [

@@ -1,5 +1,6 @@
 """Catalog formulas, maps, samplers, metadata, and the random generator."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from partialmetric import (
     CatalogKeyError,
     DomainError,
+    FinitePMSpace,
+    SizeLimitError,
     catalog_map,
     catalog_names,
     catalog_sequence,
@@ -18,6 +21,7 @@ from partialmetric import (
     random_pm_space,
     validate_entry,
 )
+from partialmetric.catalog import MAX_RANDOM_POINTS
 from partialmetric.points import FSet
 
 from oracles import axiom_violation, random_pm_space_by_fractions
@@ -61,6 +65,28 @@ class TestEvaluators:
             catalog_space("ex3.1").p(F(2), F(1, 2))
         with pytest.raises(DomainError):
             catalog_space("ex5.6").p(F(2, 3), F(1, 2))
+
+    def test_domain_violation_quotes_the_point(self):
+        with pytest.raises(DomainError, match=r"^point '2/1' is not in ex3\.1$"):
+            catalog_space("ex3.1").p(F(1, 2), F(2))
+        with pytest.raises(DomainError, match=r"^point '' is not in ex5\.8$"):
+            catalog_space("ex5.8").p("", "a")
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_table_checks_each_sample_point_once(self, name):
+        space = catalog_space(name)
+        checked = []
+        counting = replace(space, domain_predicate=lambda x: checked.append(x) or space.contains(x))
+        table = counting.finite_sample()
+        assert checked == list(space.canonical_sample)
+        by_pairs = FinitePMSpace.from_function(space.canonical_sample, space.p)
+        assert (table.points, table.num, table.den) == (by_pairs.points, by_pairs.num, by_pairs.den)
+
+    def test_table_refuses_the_first_sample_point_outside_the_domain(self):
+        space = catalog_space("ex3.1")
+        bad = replace(space, canonical_sample=(F(1, 2), F(2), F(3), F(1, 4)))
+        with pytest.raises(DomainError, match=r"^point '2/1' is not in ex3\.1$"):
+            bad.finite_sample()
 
     def test_unknown_name(self):
         with pytest.raises(CatalogKeyError, match="^unknown catalog id 'ex9.9'$"):
@@ -220,6 +246,12 @@ class TestRandomGenerator:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             random_pm_space(0, 0)
+
+    def test_refuses_more_points_than_the_cap(self):
+        with pytest.raises(SizeLimitError,
+                           match=f"^{MAX_RANDOM_POINTS + 1} points is past the cap of "
+                                 f"{MAX_RANDOM_POINTS}$"):
+            random_pm_space(0, MAX_RANDOM_POINTS + 1)
 
     @pytest.mark.parametrize("zero_f", [False, True])
     def test_matches_the_fraction_builder(self, zero_f):

@@ -13,7 +13,7 @@ from partialmetric import FinitePMSpace
 from partialmetric.analysis import MAX_HORIZON
 from partialmetric.cli import main
 from partialmetric.core import MAX_DEN_BITS
-from partialmetric.catalog import get_entry
+from partialmetric.catalog import MAX_RANDOM_POINTS, get_entry
 from partialmetric.points import (format_point, format_value, parse_rational, read_list,
                                   read_points, read_ratio)
 
@@ -450,6 +450,11 @@ class TestRandom:
     def test_bad_argument_exits_two(self, capsys):
         code, _, err = run(capsys, "random", "generate", "-n", "0")
         assert code == 2 and "error" in err
+
+    def test_help_names_the_cap(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["random", "--help"])
+        assert exc.value.code == 0 and f"1 to {MAX_RANDOM_POINTS}" in capsys.readouterr().out
 
 
 class TestBoundedInput:

@@ -15,7 +15,8 @@ example that takes 20 s or more fails. Horizons include one past the
 cap, which exits 2 before any term is read; a second property draws the
 cap itself and one past it, on catalog sequences whose terms stay small,
 by flag and by file. A third puts the empty id in each id slot, which
-exits 2 with a message that names it.
+exits 2 with a message that names it. A fourth draws the cap on
+`random generate -n` and one past it, which exits 2 within a second.
 """
 
 import contextlib
@@ -30,6 +31,7 @@ from hypothesis import strategies as st
 
 from partialmetric import catalog_names, get_entry
 from partialmetric.analysis import MAX_HORIZON
+from partialmetric.catalog import MAX_RANDOM_POINTS
 from partialmetric.cli import main
 
 POINT_IDS = ("0/1", "1/2", "1/1", "-5/1", "2/1", "a", "b", "x1", "{}", "{a}", "{a,b}", "", "zz",
@@ -274,4 +276,25 @@ def test_an_empty_id_is_refused_by_name(argv, as_json):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv + ["--json"] * as_json)
     assert code == 2 and out.getvalue() == "", argv
-    assert "''" in err.getvalue() or "start  is not in the space" in err.getvalue(), argv
+    assert "''" in err.getvalue(), argv
+
+
+@settings(max_examples=4, deadline=None)
+@given(n=st.sampled_from((MAX_RANDOM_POINTS, MAX_RANDOM_POINTS + 1)), seed=st.integers(0, 3),
+       zero_f=st.booleans(), as_json=st.booleans())
+@example(n=MAX_RANDOM_POINTS + 1, seed=0, zero_f=False, as_json=False)
+@example(n=MAX_RANDOM_POINTS, seed=0, zero_f=True, as_json=True)
+def test_random_point_cap_keeps_the_exit_contract(n, seed, zero_f, as_json):
+    argv = (["random", "generate", "-n", str(n), "--seed", str(seed)]
+            + ["--zero-f"] * zero_f + ["--json"] * as_json)
+    out, err = io.StringIO(), io.StringIO()
+    start = time.monotonic()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    elapsed = time.monotonic() - start
+    if n > MAX_RANDOM_POINTS:
+        assert code == 2 and out.getvalue() == "" and elapsed < 1, argv
+        assert f"past the cap of {MAX_RANDOM_POINTS}" in err.getvalue(), argv
+    else:
+        assert code == 0 and elapsed < 20, argv
+        assert len(json.loads(out.getvalue())["points"]) == n

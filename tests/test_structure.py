@@ -93,8 +93,8 @@ def test_no_module_rechecks_its_own_result():
 
 
 # Every public function of the package whose first parameter is a space.
-SPACE_FUNCTIONS = sorted(name for name, obj in vars(partialmetric).items()
-                         if not name.startswith("_") and inspect.isfunction(obj)
+SPACE_FUNCTIONS = sorted(name for name in partialmetric.__all__
+                         if inspect.isfunction(obj := getattr(partialmetric, name))
                          and next(iter(inspect.signature(obj).parameters), None) == "space")
 
 # The functions that read a finite table's own members (num, points, index).
@@ -102,6 +102,10 @@ TABLE_ONLY = {"ball", "ball_cover_check", "bottom_set", "check_axioms", "check_s
               "constant_map_bottom", "diameter", "exhaustive_condition_maps", "gdelta_diagonal",
               "limit_set", "maximal_points", "minimal_balls", "separation_class",
               "seq_compact_witness", "specialization_order", "totally_bounded_at"}
+
+
+def test_every_table_only_function_is_a_space_function():
+    assert TABLE_ONLY <= set(SPACE_FUNCTIONS)
 
 
 def _arguments(name):
