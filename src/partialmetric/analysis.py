@@ -366,9 +366,9 @@ def gdelta_diagonal(space: FinitePMSpace) -> GDeltaReport:
     intersection equals the set at n0 = ceil(1/g). There the ball around
     c is mask c of :func:`core.minimal_balls`, and the union of its
     squares is the diagonal iff every mask holds only its own point: the
-    T1 test. The least gap and the masks are kept on the table, so once
-    they are built (O(n^2) each, on first use) this costs what
-    :func:`core.separation_class` does, whatever the table values.
+    T1 test, read from the masks the table keeps. The least gap is found
+    per call, in one O(n^2) pass over ``num``, so this costs O(n^2)
+    whatever the table values.
     """
     require_table(space, "gdelta_diagonal")
     t1 = separation_class(space).t1

@@ -556,8 +556,9 @@ def random_pm_space(seed: int, n: int, *, zero_f: bool = False) -> FinitePMSpace
     (d(x,y) + f(x) + f(y)) / 2. With zero_f the result is the metric d/2.
     Deterministic per (seed, n, zero_f). The weights are drawn in twelfths
     and the shortest paths run on their integer numerators, so the table
-    is built over 24. Cost: O(n^3) integer steps for the shortest paths,
-    so more than ``MAX_RANDOM_POINTS`` points is a ``SizeLimitError``.
+    is handed to the store as integer rows over 24, with no ``Fraction``
+    built. Cost: O(n^3) integer steps for the shortest paths, so more
+    than ``MAX_RANDOM_POINTS`` points is a ``SizeLimitError``.
     """
     if n < 1:
         raise ValueError("need at least one point")
@@ -576,6 +577,5 @@ def random_pm_space(seed: int, n: int, *, zero_f: bool = False) -> FinitePMSpace
     anchor = rng.randrange(n)
     offset = rng.randint(0, 12)
     f = [0] * n if zero_f else [d[i][anchor] + offset for i in range(n)]
-    points = [F(i) for i in range(n)]
-    return FinitePMSpace(points, [[F(d[i][j] + f[i] + f[j], 24) for j in range(n)]
-                                  for i in range(n)])
+    return FinitePMSpace._over([F(i) for i in range(n)],
+                               [[v + fi + fj for v, fj in zip(di, f)] for di, fi in zip(d, f)], 24)

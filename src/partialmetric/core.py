@@ -28,7 +28,7 @@ from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import kernels
-from .errors import DomainError, MetadataError, StructureError
+from .errors import DomainError, MetadataError, SizeLimitError, StructureError
 from .points import Point, Record, format_point, read_json, read_points, read_ratio, to_json
 
 AXIOM_NAMES = {1: "P1", 2: "P2", 3: "P3", 4: "P4"}
@@ -61,6 +61,19 @@ def _read_row(row: Sequence, read: dict) -> Iterator[tuple[int, ...]]:
     return zip(*map(_read_entry, row))
 
 
+def _table_points(points: Iterable[Point], rows: Sequence) -> tuple[Point, ...]:
+    """The points of a table with ``rows``, refused before any entry is read: none, a
+    duplicate, or a row count that is not the point count."""
+    pts = tuple(points)
+    if not pts:
+        raise StructureError("a space needs at least one point")
+    if len(set(pts)) != len(pts):
+        raise StructureError("duplicate points in space")
+    if len(rows) != len(pts):
+        raise StructureError(f"table has {len(rows)} rows for {len(pts)} points")
+    return pts
+
+
 @dataclass(frozen=True)
 class BottomDecl:
     """A bottom set: its finite ``members`` (possibly none), or ``None`` and a predicate."""
@@ -86,17 +99,25 @@ class BottomDecl:
 # scans; without it n^2 distinct denominators could make every cell n^2
 # times as wide as one entry.
 MAX_DEN_BITS = 1024
+# A stored numerator may have at most this many bits: an entry of up to
+# MAX_DEN_BITS bits over a common denominator at its cap. The triangle
+# scan's packed fields are as wide as the numerators, so this bounds its
+# work per triple (see the README's "Scan" section).
+MAX_NUM_BITS = 2 * MAX_DEN_BITS
 
 
 class FinitePMSpace:
     """A finite space given by an explicit rational distance table.
 
     The constructor enforces only structural validity (square table of
-    nonnegative rationals over distinct points) and stores rows ``num``
+    nonnegative rationals over distinct points) and keeps rows ``num``
     of integer numerators over ``den``, the lcm of the reduced
     denominators; the axioms themselves are the business of
     :func:`check_axioms`, so that broken tables can be loaded and
-    diagnosed.
+    diagnosed. ``num`` over ``den`` is the table's one representation:
+    :meth:`p` makes one ``Fraction`` per call, and ``matrix`` is a view
+    built on each read. Besides them a table keeps its point index and,
+    once read, its axiom verdict and its minimal balls.
 
     Each entry is read as a pair of ints: text by :func:`points.read_ratio`,
     a ``Fraction`` as its numerator and denominator, anything else through
@@ -111,20 +132,20 @@ class FinitePMSpace:
     denominators as written, and then divided by g = gcd(L, all
     numerators), so ``den`` = L/g is the least denominator that makes
     every entry an integer. A table whose L passes ``2**MAX_DEN_BITS`` is
-    refused before any numerator is scaled.
+    refused before any numerator is scaled, and one whose numerator over
+    ``den`` passes ``2**MAX_NUM_BITS`` when it is stored.
+
+    The builders that hold integer rows already (:meth:`restrict` and
+    ``catalog.random_pm_space``) hand them to the same store through
+    ``_over``, which reads no entry. Both entries run the same point
+    checks first, and the store's gcd reduction and width cap last.
     """
 
     scope = "exhaustive"  # pair verdicts cover every pair of the table
 
     def __init__(self, points: Sequence[Point], matrix: Sequence[Sequence[Fraction | int]]):
-        pts = tuple(points)
+        pts = _table_points(points, matrix)
         n = len(pts)
-        if not pts:
-            raise StructureError("a space needs at least one point")
-        if len(set(pts)) != n:
-            raise StructureError("duplicate points in space")
-        if len(matrix) != n:
-            raise StructureError(f"table has {len(matrix)} rows for {n} points")
         rows, dens, read = [], set(), {}
         for row in matrix:
             if len(row) != n:
@@ -144,12 +165,29 @@ class FinitePMSpace:
                 raise StructureError(f"the common denominator of the entries as written "
                                      f"has more than {MAX_DEN_BITS} bits")
         scale = {d: den // d for d in dens}
-        num = tuple(tuple(map(mul, nums, map(scale.__getitem__, row_dens)))
-                    for nums, row_dens in rows)
+        self._store(pts, [tuple(map(mul, nums, map(scale.__getitem__, row_dens)))
+                          for nums, row_dens in rows], den)
+
+    @classmethod
+    def _over(cls, points: Sequence[Point], num: Sequence[Sequence[int]],
+              den: int) -> "FinitePMSpace":
+        """The table of square rows ``num`` of nonnegative ints over ``den``; no entry is read."""
+        space = cls.__new__(cls)
+        space._store(_table_points(points, num), num, den)
+        return space
+
+    def _store(self, pts: tuple[Point, ...], num: Sequence[Sequence[int]], den: int) -> None:
+        """Keep ``num`` over ``den`` divided by their gcd, refusing a numerator past the cap."""
         g = math.gcd(den, *(math.gcd(*row) for row in num))
-        if g > 1:  # some entry was written unreduced
+        if g > 1:  # some entry was written unreduced, or a subtable shares a factor
             den //= g
             num = tuple(tuple(v // g for v in row) for row in num)
+        else:
+            num = tuple(map(tuple, num))
+        bits = max(map(max, num)).bit_length()
+        if bits > MAX_NUM_BITS:
+            raise SizeLimitError(f"an entry's numerator over the common denominator has {bits} "
+                                 f"bits, past the cap of {MAX_NUM_BITS}")
         self.points: tuple[Point, ...] = pts
         self.den = den
         self.num: tuple[tuple[int, ...], ...] = num
@@ -170,9 +208,9 @@ class FinitePMSpace:
         except KeyError:
             raise DomainError(f"point {format_point(x)!r} is not in the space") from None
 
-    @cached_property
+    @property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The table as ``Fraction``s, built on first use."""
+        """The table as ``Fraction``s, built on each read; nothing keeps it."""
         return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.num)
 
     @cached_property
@@ -196,14 +234,8 @@ class FinitePMSpace:
         """The masks of :func:`minimal_balls`, built on first use and kept."""
         return tuple(_ball_rule(self, 1))
 
-    @cached_property
-    def _least_gap(self) -> Optional[int]:
-        """The numerator over ``den`` of :func:`least_gap`, found on first use and kept."""
-        gaps = [v - row[i] for i, row in enumerate(self.num) for v in row if v > row[i]]
-        return min(gaps, default=None)
-
     def p(self, x: Point, y: Point) -> Fraction:
-        return self.matrix[self.index(x)][self.index(y)]
+        return Fraction(self.num[self.index(x)][self.index(y)], self.den)
 
     @property
     def canonical_sample(self) -> tuple[Point, ...]:
@@ -226,16 +258,14 @@ class FinitePMSpace:
         return cls(pts, [[dist(x, y) for y in pts] for x in pts])
 
     def restrict(self, keep: Iterable[Point]) -> "FinitePMSpace":
-        """Subspace on ``keep``, in this space's point order, read from ``num`` cell by cell."""
+        """Subspace on ``keep``, in this space's point order: its rows of ``num`` over ``den``."""
         chosen = set(keep)
         missing = chosen - set(self.points)
         if missing:
             raise DomainError(f"points not in space: {sorted(map(format_point, missing))}")
         idx = [i for i, p in enumerate(self.points) if p in chosen]
-        return FinitePMSpace(
-            [self.points[i] for i in idx],
-            [[Fraction(self.num[i][j], self.den) for j in idx] for i in idx],
-        )
+        return FinitePMSpace._over([self.points[i] for i in idx],
+                                   [[self.num[i][j] for j in idx] for i in idx], self.den)
 
     def to_json_dict(self) -> dict:
         return {"points": to_json(self.points), "p": to_json(self.matrix)}
@@ -382,11 +412,11 @@ def minimal_balls(space: FinitePMSpace) -> tuple[int, ...]:
 def least_gap(space: FinitePMSpace) -> Optional[Fraction]:
     """Smallest positive p(x,y) - p(x,x) over the table, or None when there is none.
 
-    The gap is found once per table, in O(n^2), and kept on it as an
-    integer over ``den``; later calls read it.
+    Cost: one O(n^2) pass over ``num`` per call; nothing is kept.
     """
     require_table(space, "least_gap")
-    gap = space._least_gap
+    gap = min((v - row[i] for i, row in enumerate(space.num) for v in row if v > row[i]),
+              default=None)
     return Fraction(gap, space.den) if gap is not None else None
 
 

@@ -27,8 +27,9 @@ class UnsupportedSequenceError(PMError):
 
 class SizeLimitError(PMError):
     """Work past a size cap was refused: exhaustive enumeration over too large a
-    space, a sequence horizon past ``analysis.MAX_HORIZON``, or a random space
-    of more than ``catalog.MAX_RANDOM_POINTS`` points."""
+    space, a sequence horizon past ``analysis.MAX_HORIZON``, a random space
+    of more than ``catalog.MAX_RANDOM_POINTS`` points, or a table numerator
+    of more than ``core.MAX_NUM_BITS`` bits."""
 
 
 class AxiomFailureError(PMError):

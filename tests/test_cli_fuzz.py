@@ -16,7 +16,9 @@ cap, which exits 2 before any term is read; a second property draws the
 cap itself and one past it, on catalog sequences whose terms stay small,
 by flag and by file. A third puts the empty id in each id slot, which
 exits 2 with a message that names it. A fourth draws the cap on
-`random generate -n` and one past it, which exits 2 within a second.
+`random generate -n` and one past it, which exits 2 within a second,
+and a fifth does the same for the bit width of a table's numerators in
+`axioms --space`.
 """
 
 import contextlib
@@ -33,6 +35,7 @@ from partialmetric import catalog_names, get_entry
 from partialmetric.analysis import MAX_HORIZON
 from partialmetric.catalog import MAX_RANDOM_POINTS
 from partialmetric.cli import main
+from partialmetric.core import MAX_NUM_BITS
 
 POINT_IDS = ("0/1", "1/2", "1/1", "-5/1", "2/1", "a", "b", "x1", "{}", "{a}", "{a,b}", "", "zz",
              "1e99999999", "1_0")
@@ -298,3 +301,30 @@ def test_random_point_cap_keeps_the_exit_contract(n, seed, zero_f, as_json):
     else:
         assert code == 0 and elapsed < 20, argv
         assert len(json.loads(out.getvalue())["points"]) == n
+
+
+@settings(max_examples=4, deadline=None)
+@given(bits=st.sampled_from((MAX_NUM_BITS, MAX_NUM_BITS + 1)), as_text=st.booleans(),
+       as_json=st.booleans())
+@example(bits=MAX_NUM_BITS + 1, as_text=False, as_json=False)
+@example(bits=MAX_NUM_BITS, as_text=True, as_json=True)
+def test_entry_width_cap_keeps_the_exit_contract(bits, as_text, as_json):
+    top = (1 << bits) - 1  # a valid table whose widest numerator has ``bits`` bits
+    rows = [[top - 1, top], [top, top - 1]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "wide.json")
+        with open(path, "w") as fh:
+            json.dump({"points": ["x", "y"],
+                       "p": [[str(v) if as_text else v for v in row] for row in rows]}, fh)
+        argv = ["axioms", "--space", path] + ["--json"] * as_json
+        out, err = io.StringIO(), io.StringIO()
+        start = time.monotonic()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        elapsed = time.monotonic() - start
+    if bits > MAX_NUM_BITS:
+        assert code == 2 and out.getvalue() == "" and elapsed < 1, argv
+        assert f"past the cap of {MAX_NUM_BITS}" in err.getvalue(), argv
+    else:
+        assert code == 0 and elapsed < 20, argv
+        assert "pass" in out.getvalue(), argv

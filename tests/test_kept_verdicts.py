@@ -1,10 +1,10 @@
-"""A table's axiom verdict is scanned once, its minimal balls are built once, its
-least gap is found once, and a catalog space builds its table once.
+"""A table's axiom verdict is scanned once, its minimal balls are built once,
+and a catalog space builds its table once.
 
-All are kept on first use: a table is not changed after construction,
-so every later ``check_axioms``, ``minimal_balls`` or ``least_gap``
-call, and every probe that reads the verdict, the balls or the gap
-through them, answers from what the table keeps.
+Both are kept on first use: a table is not changed after construction,
+so every later ``check_axioms`` or ``minimal_balls`` call, and every
+probe that reads the verdict or the balls through them, answers from
+what the table keeps.
 """
 
 from dataclasses import replace
@@ -30,7 +30,6 @@ from partialmetric import (
     specialization_order,
     totally_bounded_at,
 )
-from partialmetric.core import least_gap
 from partialmetric.facts import run_fact_suite
 
 
@@ -68,31 +67,20 @@ def test_the_probes_read_the_kept_verdict(scans):
     assert scans == [sp.num]
 
 
-def _count_builds(monkeypatch, name):
-    """The tables whose kept ``name`` is built, in build order."""
+@pytest.fixture
+def builds(monkeypatch):
+    """The tables whose minimal balls are built, in build order."""
     seen = []
-    build = vars(FinitePMSpace)[name].func
+    build = vars(FinitePMSpace)["_minimal_balls"].func
 
     def counted(sp):
         seen.append(sp)
         return build(sp)
 
     kept = cached_property(counted)
-    kept.__set_name__(FinitePMSpace, name)
-    monkeypatch.setattr(FinitePMSpace, name, kept)
+    kept.__set_name__(FinitePMSpace, "_minimal_balls")
+    monkeypatch.setattr(FinitePMSpace, "_minimal_balls", kept)
     return seen
-
-
-@pytest.fixture
-def builds(monkeypatch):
-    """The tables whose minimal balls are built, in build order."""
-    return _count_builds(monkeypatch, "_minimal_balls")
-
-
-@pytest.fixture
-def gap_scans(monkeypatch):
-    """The tables whose least gap is found, in scan order."""
-    return _count_builds(monkeypatch, "_least_gap")
 
 
 def test_one_build_of_the_minimal_balls_per_table(builds):
@@ -125,17 +113,6 @@ def test_a_checked_table_builds_no_ball_again(monkeypatch):
         assert check_space_properties(sp) == []
         assert rules == [(sp, 1)]
         rules.clear()
-
-
-def test_one_least_gap_scan_per_table(gap_scans):
-    for seed in range(12):
-        sp = random_pm_space(seed, seed % 7 + 1)
-        for _ in range(2):
-            assert check_space_properties(sp) == []
-            gdelta_diagonal(sp)
-            least_gap(sp)
-            assert gap_scans == [sp]
-        gap_scans.clear()
 
 
 def test_one_scan_per_catalog_table_in_the_fact_suite(scans):

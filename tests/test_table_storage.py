@@ -1,8 +1,9 @@
 """A table is stored once: integer numerators ``num`` over one denominator ``den``.
 
-The ``Fraction`` view ``matrix`` agrees with it entry by entry, the
-integer derived metrics are ``den`` times the pointwise ones that the
-fact suite uses, and no verdict or comparison-only probe builds the view.
+The ``Fraction`` view ``matrix``, built on each read, agrees with it entry
+by entry, the integer derived metrics are ``den`` times the pointwise ones
+that the fact suite uses, and a table keeps nothing but its store and two
+verdicts. ``restrict`` hands its integer rows to the same store.
 Text is read by ``points.read_ratio``, which agrees with ``Fraction`` on
 its grammar less digit separators and exponents, and an unreduced entry
 still gives the least common denominator. ``benchmarks/bench_scan.py``
@@ -12,6 +13,7 @@ scans the same integer tables.
 import importlib.util
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +25,7 @@ from oracles import table_by_cells
 
 from partialmetric import (
     FinitePMSpace,
+    apex_space,
     ball_cover_check,
     bottom_set,
     catalog_names,
@@ -40,8 +43,9 @@ from partialmetric import (
     totally_bounded_at,
 )
 from partialmetric import core
-from partialmetric.core import MAX_DEN_BITS, ball, d_matrix, p_bar_matrix, p_m_matrix
-from partialmetric.errors import StructureError
+from partialmetric.core import (MAX_DEN_BITS, MAX_NUM_BITS, ball, d_matrix, p_bar_matrix,
+                                p_m_matrix)
+from partialmetric.errors import SizeLimitError, StructureError
 from partialmetric.points import parse_rational, read_ratio
 
 F = Fraction
@@ -83,9 +87,9 @@ INPUTS = list(_inputs())
 def assert_one_table(sp, rows):
     assert sp.den == math.lcm(*(F(v).denominator for row in rows for v in row))
     assert all(type(v) is int for row in sp.num for v in row)
-    n = len(sp)
-    assert [list(row) for row in sp.matrix] == [[F(v) for v in row] for row in rows]
-    assert all(sp.matrix[i][j] == F(sp.num[i][j], sp.den) for i in range(n) for j in range(n))
+    n, view = len(sp), sp.matrix
+    assert [list(row) for row in view] == [[F(v) for v in row] for row in rows]
+    assert all(view[i][j] == F(sp.num[i][j], sp.den) for i in range(n) for j in range(n))
 
 
 def assert_derived_are_scaled(sp):
@@ -141,6 +145,9 @@ def _loaded(rows):
         "p": [[f"{v.numerator}/{v.denominator}" for v in row] for row in rows]}))
 
 
+# What a table keeps: its store, and the two verdicts that several probes read.
+STORE = {"points", "num", "den", "_index"}
+KEPT = STORE | {"_axiom_report", "_minimal_balls"}
 VALID = [[F(1, 2), F(1), F(4, 3)], [F(1), F(1, 3), F(4, 3)], [F(4, 3), F(4, 3), F(1, 7)]]
 BROKEN = {
     "P2": [[F(1), F(1, 2)], [F(1, 2), F(1, 3)]],
@@ -151,16 +158,16 @@ BROKEN = {
 def test_check_axioms_leaves_the_view_unbuilt():
     sp = _loaded(VALID)
     assert check_axioms(sp).ok
-    assert "matrix" not in vars(sp)
+    assert set(vars(sp)) <= KEPT
     sp = FinitePMSpace.from_json(json.dumps({"points": ["a", "b"],
                                              "p": [["0.50", "3/2"], ["6/4", "2/6"]]}))
     assert check_axioms(sp).ok and (sp.num, sp.den) == (((3, 9), (9, 2)), 6)
-    assert "matrix" not in vars(sp)
+    assert set(vars(sp)) <= KEPT
     for axiom, rows in BROKEN.items():
         sp = _loaded(rows)
         report = check_axioms(sp)
         assert report.violated_axiom == axiom
-        assert "matrix" not in vars(sp)
+        assert set(vars(sp)) <= KEPT
         assert all(type(v) is Fraction for v in report.values.values())
 
 
@@ -176,18 +183,50 @@ def test_comparison_probes_leave_the_view_unbuilt():
     totally_bounded_at(sp, F(1, 2))
     diameter(sp)
     p_m_matrix(sp), d_matrix(sp), p_bar_matrix(sp, restrict=bottom_set(sp))
-    assert "matrix" not in vars(sp)
+    assert set(vars(sp)) <= KEPT
+
+
+def assert_restrict_is_a_direct_build(sp, keep):
+    """``restrict`` gives the table built from the ``Fraction`` sub-table, and builds no view."""
+    sub = sp.restrict(keep)
+    idx = [i for i, x in enumerate(sp.points) if x in set(keep)]
+    direct = FinitePMSpace([sp.points[i] for i in idx],
+                           [[F(sp.num[i][j], sp.den) for j in idx] for i in idx])
+    assert (sub.points, sub.den, sub.num) == (direct.points, direct.den, direct.num)
+    assert set(vars(sp)) <= KEPT and set(vars(sub)) <= KEPT
+    return sub
 
 
 @pytest.mark.parametrize("keep, den", [((0, 1, 2), 42), ((2, 0), 42), ((0, 1), 6), ((1,), 3)])
 def test_restrict_is_a_direct_build_and_leaves_the_view_unbuilt(keep, den):
     sp = _loaded(VALID)  # den 42; dropping the 1/7 cell shrinks it
-    sub = sp.restrict([F(i) for i in keep])
-    idx = sorted(keep)
-    direct = FinitePMSpace([F(i) for i in idx], [[VALID[i][j] for j in idx] for i in idx])
-    assert (sub.points, sub.den, sub.num) == (direct.points, direct.den, direct.num)
-    assert sub.den == den
-    assert "matrix" not in vars(sp) and "matrix" not in vars(sub)
+    assert assert_restrict_is_a_direct_build(sp, [F(i) for i in keep]).den == den
+
+
+def test_restrict_is_a_direct_build_on_random_tables_and_the_apex_block():
+    rng = random.Random("restrict")
+    for seed in range(20):
+        sp = random_pm_space(seed, seed % 7 + 1)
+        assert_restrict_is_a_direct_build(sp, rng.sample(sp.points, rng.randint(1, len(sp))))
+    apex = apex_space(6).finite_sample()
+    assert_restrict_is_a_direct_build(apex, [x for x in apex.points if x != "a"])
+
+
+def test_restrict_to_no_point_is_refused():
+    with pytest.raises(StructureError, match="^a space needs at least one point$"):
+        random_pm_space(0, 3).restrict(())
+
+
+def test_a_table_keeps_num_over_den_and_no_view():
+    for sp in (_loaded(VALID), random_pm_space(5, 6), _loaded(VALID).restrict([F(0), F(1)])):
+        view = sp.matrix
+        sp.to_json_dict()
+        for i, x in enumerate(sp.points):
+            for j, y in enumerate(sp.points):
+                assert sp.p(x, y) == F(sp.num[i][j], sp.den) == view[i][j]
+        assert set(vars(sp)) == STORE
+        check_axioms(sp), separation_class(sp), gdelta_diagonal(sp)
+        assert set(vars(sp)) == KEPT
 
 
 def test_ball_radius_is_exact_at_the_boundary():
@@ -263,6 +302,25 @@ def test_common_denominator_past_the_cap_is_refused():
     assert FinitePMSpace(["x", "y"], [[top, F(1, 2)], [1, 0]]).den.bit_length() == MAX_DEN_BITS
     with pytest.raises(StructureError, match=f"more than {MAX_DEN_BITS} bits"):
         FinitePMSpace(["x", "y"], [[top, F(1, 3)], [1, 0]])
+
+
+def test_a_numerator_at_the_width_cap_loads_and_one_bit_past_is_refused():
+    top = (1 << MAX_NUM_BITS) - 1  # MAX_NUM_BITS bits
+    assert FinitePMSpace(["x", "y"], [[top, 1], [1, 0]]).num == ((top, 1), (1, 0))
+    with pytest.raises(SizeLimitError, match=f"has {MAX_NUM_BITS + 1} bits, past the cap of "
+                                             f"{MAX_NUM_BITS}$"):
+        FinitePMSpace(["x", "y"], [[top + 1, 1], [1, 0]])
+    # the cap reads the stored numerator: written unreduced, 2 top / 2 is top
+    halves = FinitePMSpace.from_json(_text_table([[f"{2 * top}/2", "1"], ["1", "0"]]))
+    assert (halves.num, halves.den) == (((top, 1), (1, 0)), 1)
+
+
+def test_an_entry_of_den_bits_over_a_denominator_at_the_cap_loads():
+    wide = (1 << MAX_DEN_BITS) - 1  # an entry of MAX_DEN_BITS bits
+    top = F(1, (1 << MAX_DEN_BITS) - 3)  # an odd denominator of MAX_DEN_BITS bits
+    sp = FinitePMSpace(["x", "y"], [[wide, top], [top, 0]])
+    assert sp.den.bit_length() == MAX_DEN_BITS
+    assert sp.num[0][0] == wide * sp.den and sp.num[0][0].bit_length() == MAX_NUM_BITS
 
 
 def _text_table(rows):
