@@ -7,13 +7,17 @@ without finding a violation (the worst case). The scans are timed on the
 integer tables a space stores (``space.num``) and derives
 (``p_m_matrix``), so building them is not counted.
 
-Each size has three rows: the axiom scan and the `p_m` metric scan on a
-table over twelfths, and the axiom scan on a wide table whose values
-cycle through eight prime denominators near 2^12, so that from eight
-points on its numerators (the `bits` column) are near 2^96; smaller
-sizes have no wide row. The scan packs each row into one int whose
-fields are as wide as the table's spread, so the wide row shows what
-wider fields cost.
+Each size has four rows: the axiom scan and the `p_m` metric scan on a
+table over twelfths; the axiom scan on a wide table whose values cycle
+through eight prime denominators near 2^12, so that from eight points on
+its numerators (the `bits` column) are near 2^96; and the axiom scan on
+a tight wide table, p(x,y) = max(v_x, v_y) over distinct values below
+2^100, whose triangles hold with equality wherever v_z lies between v_x
+and v_y. Smaller sizes have no wide rows. A table whose spread has more
+than 16 bits is first scanned on the top 16 bits of its spread, and
+only the rows that coarse pass flags are tested exactly: it flags no
+row of the wide table and every row of the tight one, so the
+two wide rows show the best and the worst case.
 
 Run:  PYTHONPATH=src python3 benchmarks/bench_scan.py [--sizes 16,32,64,128] [--repeats 3]
 """
@@ -46,6 +50,15 @@ def build_space(n: int, seed: int = 0, wide: bool = False) -> FinitePMSpace:
     return FinitePMSpace([F(i) for i in range(n)], matrix)
 
 
+def build_tight_space(n: int, seed: int = 0) -> FinitePMSpace:
+    """p(x,y) = max(v_x, v_y) over n random values below 2^100: valid when they are
+    distinct (``time_scan`` would report a repeat as a P1 failure), and tight."""
+    rng = random.Random(f"bench/{seed}/{n}/tight")
+    values = [rng.getrandbits(100) for _ in range(n)]
+    matrix = [[F(max(a, b)) for b in values] for a in values]
+    return FinitePMSpace([F(i) for i in range(n)], matrix)
+
+
 def time_scan(scan, table, label: str, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -64,7 +77,7 @@ def main() -> None:
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
-    header = f"{'n':>5} {'scan':>12} {'bits':>5} {'time (ms)':>10}"
+    header = f"{'n':>5} {'scan':>17} {'bits':>5} {'time (ms)':>10}"
     print(header)
     print("-" * len(header))
     for n in sizes:
@@ -73,10 +86,11 @@ def main() -> None:
                 ("p_m metric", kernels.metric_scan, p_m_matrix(space))]
         if n >= len(WIDE_DENOMINATORS):
             rows.append(("axioms wide", kernels.axiom_scan, build_space(n, wide=True).num))
+            rows.append(("axioms tight wide", kernels.axiom_scan, build_tight_space(n).num))
         for label, scan, table in rows:
             bits = max(abs(v) for row in table for v in row).bit_length()
             best = time_scan(scan, table, label, args.repeats)
-            print(f"{n:>5} {label:>12} {bits:>5} {best * 1e3:>10.2f}")
+            print(f"{n:>5} {label:>17} {bits:>5} {best * 1e3:>10.2f}")
 
 
 if __name__ == "__main__":

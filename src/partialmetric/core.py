@@ -101,8 +101,10 @@ class BottomDecl:
 MAX_DEN_BITS = 1024
 # A stored numerator may have at most this many bits: an entry of up to
 # MAX_DEN_BITS bits over a common denominator at its cap. The triangle
-# scan's packed fields are as wide as the numerators, so this bounds its
-# work per triple (see the README's "Scan" section).
+# scan reads a wide table's top 16 bits first, O(n^3 * 16) bit operations
+# whatever the width; only the rows that coarse pass flags are tested on
+# fields as wide as the numerators, so this bounds the work per flagged
+# row (see the README's "Scan" section).
 MAX_NUM_BITS = 2 * MAX_DEN_BITS
 
 

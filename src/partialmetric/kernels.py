@@ -13,13 +13,24 @@ The phase runs only on a symmetric table, where (i, j, k) fails iff
 (j, i, k) does, so the n(n-1)/2 pairs cover every triple. Only a row
 with a violation is then walked triple by triple, in canonical order,
 for its first (j, k).
+
+A packed field is two or three bits wider than the spread it holds, so
+a pair test costs a few big-int operations on about n * w bits. A table
+whose spread (largest entry minus least) has at most ``COARSE_BITS`` =
+16 bits gets one exact pass, O(n^3 * 16) bit operations. A wider table
+first gets a coarse pass on the top 16 bits of its spread, the same
+O(n^3 * 16); when it flags no row, as on a valid table with no
+near-tight triangle, that is the whole scan, whatever the width.
+Otherwise the exact test, on fields as wide as the spread, runs on the
+flagged rows only, about n^2 * w bit operations per row, and stops at
+the first row that truly fails.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, and_, mul, sub
 from typing import NamedTuple, Optional, Sequence
 
@@ -138,35 +149,89 @@ def _triangle_scan(m):
     return None
 
 
+# A table whose spread (largest entry minus least) has more bits than this
+# is scanned twice: a coarse pass on the top COARSE_BITS bits of the
+# spread, then the exact pass on the rows the coarse pass flags.
+COARSE_BITS = 16
+# The coarse pass flags a row when some field has T > -COARSE_SLACK, that
+# is T >= -1; see ``_violating_rows`` for why that is enough.
+COARSE_SLACK = 2
+
+
 def _violating_rows(m):
-    """Yield, in order, each row i with some p(i,j) > p(i,k) + p(k,j) - p(k,k), j > i.
+    """Each row i, in order, with some p(i,j) > p(i,k) + p(k,j) - p(k,k), j > i.
 
     The caller has passed symmetry, so the test at (i, j, k) is
-    p(i,j) + p(k,k) - p(i,k) - p(j,k) > 0, the same for (j, i, k). Rows
-    are packed shifted by the least entry lo into fields w bits wide,
-    the diagonal too (field k of ``diag`` is p(k,k) - lo), and for each
-    unordered pair i < j field k of
+    x = p(i,j) + p(k,k) - p(i,k) - p(j,k) > 0, the same for (j, i, k);
+    ``_pair_test`` makes it for every k of a pair at once. j = i never
+    fails, so n(n-1)/2 pair tests cover every triple, and a row that
+    fails only at some j < i is not named; the first failing row always
+    fails at some j > i, so it is the first one named.
 
-        half * ONES + diag - packed[i] - packed[j] + (p(i,j) - lo) * ONES
+    A table whose spread has at most ``COARSE_BITS`` bits gets that test
+    on every row. A wider one is first tested coarsely, on
+    t = (v - lo) >> s with s = spread bits - ``COARSE_BITS`` (lo the least
+    entry), where a row is flagged when some (j, k) has
+    T = t(i,j) + t(k,k) - t(i,k) - t(j,k) >= -1; the exact test then
+    runs on the flagged rows alone, in order, and the exact rows are
+    packed only once some row is flagged.
 
-    holds half + p(i,j) + p(k,k) - p(i,k) - p(j,k), whose guard bit (w-1)
-    is set exactly when the triangle fails at (i, j, k). The caller
-    guarantees p(k,k) <= p(i,k) for all i, k: the axiom scan has passed
-    P2; the metric scan has passed identity and positivity, so p(k,k) = 0
-    = lo <= p(i,k). Every field then lies in [half - 2*span, half + span]
-    (span = largest entry - lo), inside [0, 2^w), so no field borrows
-    from or carries into the next and the sum is exact field by field.
-    The same bound gives j = i no failure: p(i,i) <= p(i,k) and
-    p(k,k) <= p(i,k). So n(n-1)/2 pair tests cover every triple, and a
-    row that fails only at some j < i is not yielded; the first failing
-    row always fails at some j > i, so it is the first one yielded.
+    Lemma: the coarse rows include every row named here. Write
+    v - lo = 2^s t + r with 0 <= r < 2^s. The lo terms cancel in x, so
+    x = 2^s T + R with R = r(i,j) + r(k,k) - r(i,k) - r(j,k), and
+    |R| < 2^(s+1). So x >= 1 gives 2^s T > 1 - 2^(s+1), so T > -2: T >= -1.
+    The first failing row is therefore among the coarse rows, and the
+    witness stays the canonical one. At k = i and k = j, T = 0 on every
+    symmetric table; the coarse test's own-diagonal raise (see
+    ``_pair_test``) keeps those fields unflagged.
     """
-    n = len(m)
-    if n == 0:
-        return
+    if not m:
+        return iter(())
     lo = min(map(min, m))
     span = max(map(max, m)) - lo
-    w = (2 * span + 2).bit_length() + 1
+    rows = _coarse_rows(m, lo, span)
+    first = next(rows, None)
+    if first is None:
+        return iter(())
+    return filter(_pair_test(m, lo, span, 0), chain((first,), rows))
+
+
+def _coarse_rows(m, lo, span):
+    """The rows the coarse test flags, lazily in order; every row but the last when
+    ``span`` (largest entry of ``m`` minus ``lo``, its least) has at most
+    ``COARSE_BITS`` bits."""
+    rows = range(len(m) - 1)
+    shift = span.bit_length() - COARSE_BITS
+    if shift <= 0:
+        return iter(rows)
+    coarse = [[(v - lo) >> shift for v in row] for row in m]
+    return filter(_pair_test(coarse, 0, span >> shift, COARSE_SLACK), rows)
+
+
+def _pair_test(m, lo, span, slack):
+    """Pack ``m`` and return a test of row i against every later row: does some
+    p(i,j) + p(k,k) - p(i,k) - p(j,k) exceed -slack, j > i, k not in {i, j}?
+
+    ``lo`` is the least entry and ``span`` the largest minus lo. Rows are
+    packed shifted by lo into fields w bits wide, the diagonal too (field
+    k of ``diag`` is p(k,k) - lo), and each row's own diagonal field is
+    raised by 2*slack. For a pair i < j, field k of
+
+        (half + slack) * ONES + diag - packed[i] - packed[j] + (p(i,j) - lo) * ONES
+
+    holds half + slack + x, whose guard bit (w-1) is set exactly when
+    x > -slack; at k = i and k = j, where x = 0 on a symmetric table,
+    the raise leaves half - slack, so those fields are never set. The
+    caller guarantees p(k,k) <= p(i,k) for all i, k: the axiom scan has
+    passed P2; the metric scan has passed identity and positivity, so
+    p(k,k) = 0 = lo <= p(i,k); the coarse table keeps it, as v >> s is
+    monotone. Every field then lies in [half - slack - 2*span,
+    half + slack + span], inside [0, 2^w), so no field borrows from or
+    carries into the next and the sum is exact field by field. The same
+    bound gives j = i no failure: p(i,i) <= p(i,k) and p(k,k) <= p(i,k).
+    """
+    n = len(m)
+    w = (2 * span + 2 + slack).bit_length() + 1
     half = (1 << (w - 1)) - 1
     ones = int(("0" * (w - 1) + "1") * n, 2)
     guard = ones << (w - 1)
@@ -179,9 +244,13 @@ def _violating_rows(m):
         return fields
 
     packed = list(map(pack, m))
-    base = (half - lo) * ones + pack([m[k][k] for k in range(n)])
-    for i in range(n - 1):
+    if slack:
+        packed = [row + (2 * slack << w * i) for i, row in enumerate(packed)]
+    base = (half + slack - lo) * ones + pack([m[k][k] for k in range(n)])
+
+    def fails(i):
         sums = map(sub, repeat(base - packed[i]), packed[i + 1:])
         spread = map(mul, m[i][i + 1:], repeat(ones))  # p(i,j) in every field
-        if any(map(and_, map(add, sums, spread), repeat(guard))):
-            yield i
+        return any(map(and_, map(add, sums, spread), repeat(guard)))
+
+    return fails

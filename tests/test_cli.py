@@ -182,7 +182,11 @@ class TestAnalyze:
     def test_help_names_the_horizon_cap(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "seq", "--help"])
-        assert exc.value.code == 0 and f"1 to {MAX_HORIZON}" in capsys.readouterr().out
+        text = " ".join(capsys.readouterr().out.split())  # argparse wraps the help
+        assert exc.value.code == 0 and f"1 to {MAX_HORIZON}" in text
+        # The cap counts terms; the help states what wide terms cost.
+        assert "ex5.4.orbit0's n-th term has about n bits" in text
+        assert "grow about quadratically with the horizon" in text
 
 
 class TestTopology:

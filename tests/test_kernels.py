@@ -1,7 +1,9 @@
 """The table scans against the brute-force oracle."""
 
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
@@ -12,10 +14,17 @@ from partialmetric.core import p_m_matrix
 
 from oracles import axiom_violation, metric_violation, triangle_rows, upper_triangle_rows
 
+# The benchmark's table builder, so the path tests run on the tables it times.
+_spec = importlib.util.spec_from_file_location(
+    "bench_scan", Path(__file__).resolve().parents[1] / "benchmarks" / "bench_scan.py")
+bench_scan = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_scan)
+
 F = Fraction
 
-# Large numerators: the packed triangle scan's fields are as wide as the
-# table's spread, so these tables test the field width at ~61 bits.
+# Large numerators: the packed triangle scan's exact fields are as wide as
+# the table's spread, so these tables test the field width at ~61 bits,
+# and, being wider than ``kernels.COARSE_BITS``, the coarse pass too.
 WIDE_TOPS = (2**61 - 1, 2**61)
 
 
@@ -130,10 +139,21 @@ def assert_packed_rows_exact(matrix):
     A row named without one would only cost a walk, so the verdicts alone
     cannot show it; this checks the field arithmetic itself. The first
     row named is the first row with any violation, the one the scans walk.
+    On a table whose spread is wider than ``kernels.COARSE_BITS`` the
+    coarse pass must name every such row (the lemma in ``_violating_rows``).
     """
-    rows = list(kernels._violating_rows(scaled(matrix)))
+    table = scaled(matrix)
+    rows = list(kernels._violating_rows(table))
     assert rows == upper_triangle_rows(matrix)
     assert rows[:1] == triangle_rows(matrix)[:1]
+    if table:
+        assert set(upper_triangle_rows(matrix)) <= set(coarse_rows(table)), "a row was lost"
+
+
+def coarse_rows(table):
+    """The rows of a nonempty integer table that the coarse pass flags."""
+    lo = min(map(min, table))
+    return list(kernels._coarse_rows(table, lo, max(map(max, table)) - lo))
 
 
 # Entries near 2^100 as well: packed fields over 100 bits wide.
@@ -173,6 +193,84 @@ def test_row_failing_only_below_the_diagonal_is_not_named(shift):
     assert_packed_rows_exact(matrix)
     assert _axiom_witness(kernels.axiom_scan(scaled(matrix))) == axiom_violation(matrix) == (
         "P4", 1, 3, 0)
+
+
+# One unit of P4 failure where the coarse pass can barely see it. With
+# S = 2^85 the spread has 101 bits, so the coarse table is v >> 85. The
+# failure (0, 1, 2) has x = p(0,1) + p(2,2) - p(0,2) - p(1,2) = 1, and
+# its low bits (S - 1 and 2 above, 0 and 0 below) make the coarse field
+# read T = 33767 + 1000 - 32768 - 2000 = -1, the least the lemma in
+# ``kernels._violating_rows`` allows. Every other field of rows 0 and 1
+# reads T <= -1499, so row 0 is flagged by that one field and row 1 not
+# at all.
+S = 2**85
+EDGE_AXIOMS = [[0, 33768 * S - 1, 32768 * S],
+               [33768 * S - 1, 1500 * S, 2000 * S],
+               [32768 * S, 2000 * S, 1000 * S + 2]]
+# The same for a metric. A zero diagonal makes T >= 0 at any failure
+# (R = r(i,j) - r(i,k) - r(j,k) < 2^s), so its edge is T = 0:
+# x = 1 with T = 33000 - 20000 - 13000.
+EDGE_METRIC = [[0, 33001 * S - 1, 20000 * S + S // 2],
+               [33001 * S - 1, 0, 13000 * S + S // 2 - 2],
+               [20000 * S + S // 2, 13000 * S + S // 2 - 2, 0]]
+
+
+def _coarse_field(table, i, j, k):
+    """x and T of the test at (i, j, k) on an integer table with least entry 0."""
+    shift = max(map(max, table)).bit_length() - kernels.COARSE_BITS
+    t = [[v >> shift for v in row] for row in table]
+    return (table[i][j] + table[k][k] - table[i][k] - table[j][k],
+            t[i][j] + t[k][k] - t[i][k] - t[j][k])
+
+
+@pytest.mark.parametrize("table, edge_t, scan, witness, oracle", [
+    (EDGE_AXIOMS, -1, kernels.axiom_scan, _axiom_witness, axiom_violation),
+    (EDGE_METRIC, 0, kernels.metric_scan, _metric_witness, metric_violation),
+], ids=["axioms", "metric"])
+def test_one_unit_failure_at_the_coarse_edge_is_found(table, edge_t, scan, witness, oracle):
+    assert _coarse_field(table, 0, 1, 2) == (1, edge_t)
+    # Row 1 is not flagged: its fields at k = i and k = j, where T = 0, are raised out of reach.
+    assert coarse_rows(table) == [0]
+    matrix = [[F(v) for v in row] for row in table]
+    assert witness(scan(table)) == oracle(matrix)
+    assert oracle(matrix)[1:] == (0, 1, 2)
+
+
+def _counting_pair_tests(monkeypatch):
+    """Record each ``_pair_test`` a scan makes as (slack, rows it flagged)."""
+    calls = []
+    real = kernels._pair_test
+
+    def counting(m, lo, span, slack):
+        fails, flagged = real(m, lo, span, slack), []
+        calls.append((slack, flagged))
+
+        def test(i):
+            if fails(i):
+                flagged.append(i)
+                return True
+            return False
+
+        return test
+
+    monkeypatch.setattr(kernels, "_pair_test", counting)
+    return calls
+
+
+def test_a_wide_valid_table_is_cleared_by_the_coarse_pass(monkeypatch):
+    table = bench_scan.build_space(64, wide=True).num
+    assert (max(map(max, table)) - min(map(min, table))).bit_length() > kernels.COARSE_BITS
+    calls = _counting_pair_tests(monkeypatch)
+    assert kernels.axiom_scan(table) is None
+    assert calls == [(kernels.COARSE_SLACK, [])]  # no row flagged, no exact rows packed
+
+
+def test_a_narrow_table_gets_one_exact_pass(monkeypatch):
+    table = bench_scan.build_space(64).num
+    assert (max(map(max, table)) - min(map(min, table))).bit_length() <= kernels.COARSE_BITS
+    calls = _counting_pair_tests(monkeypatch)
+    assert kernels.axiom_scan(table) is None
+    assert calls == [(0, [])]
 
 
 def test_metric_scan_finds_the_pair_whose_second_row_is_not_named():

@@ -241,9 +241,11 @@ def test_bench_scan_main_runs_small(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["bench_scan.py", "--sizes", "8", "--repeats", "1"])
     bench_scan.main()
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
-    assert [row[0] for row in rows] == ["8"] * 3
-    assert [" ".join(row[1:-2]) for row in rows] == ["axioms", "p_m metric", "axioms wide"]
+    assert [row[0] for row in rows] == ["8"] * 4
+    assert [" ".join(row[1:-2]) for row in rows] == ["axioms", "p_m metric", "axioms wide",
+                                                     "axioms tight wide"]
     assert int(rows[2][-2]) > 96  # the wide table's numerators pass 2^96
+    assert int(rows[3][-2]) > 96  # and so do the tight table's, near 2^100
 
 
 # Text that Fraction's grammar touches: digits (ASCII, Arabic-Indic, fullwidth),
