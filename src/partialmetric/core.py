@@ -42,23 +42,33 @@ def _read_entry(v) -> tuple[int, int]:
     return q.numerator, q.denominator
 
 
-def _read_row(row: Sequence, read: dict) -> Iterator[tuple[int, ...]]:
-    """A row's numerators and denominators as written, as two tuples.
+def _read_texts(matrix: Sequence, n: int) -> Optional[tuple[list[tuple[int, ...]], int]]:
+    """Rows of a table of text over their common denominator, each distinct text read
+    once; ``None`` if the table is not square, its first entry is no text (hashing a
+    ``Fraction`` costs more than reading it), or an entry is no rational text or < 0."""
+    if not all(len(row) == n for row in matrix) or type(matrix[0][0]) is not str:
+        return None
+    try:
+        texts = list(set().union(*matrix))
+        nums, dens = zip(*map(read_ratio, texts))
+    except (ValueError, TypeError):
+        return None
+    if min(nums) < 0:
+        return None
+    den, scale = _lcm_scales(set(dens))
+    value = dict(zip(texts, map(mul, nums, map(scale.__getitem__, dens))))
+    return [tuple(map(value.__getitem__, row)) for row in matrix], den
 
-    A row of text reads the texts that are not yet in the table's memo
-    ``read`` into it, once each and in set order, and then every cell by
-    lookup. Any other row is read cell by cell, and so is a row of text
-    with a bad or non-text entry, read again, so that the first bad entry
-    in row order is the one reported.
-    """
-    if type(row[0]) is str:
-        try:
-            fresh = set(row).difference(read)
-            read.update(zip(fresh, map(read_ratio, fresh)))
-            return zip(*map(read.__getitem__, row))
-        except (ValueError, TypeError):
-            pass
-    return zip(*map(_read_entry, row))
+
+def _lcm_scales(dens: set[int]) -> tuple[int, dict[int, int]]:
+    """L = lcm(dens), refused once it passes ``MAX_DEN_BITS`` bits, and L // d for each d."""
+    den = 1
+    for d in dens:
+        den = math.lcm(den, d)
+        if den.bit_length() > MAX_DEN_BITS:
+            raise StructureError(f"the common denominator of the entries as written "
+                                 f"has more than {MAX_DEN_BITS} bits")
+    return den, {d: den // d for d in dens}
 
 
 def _table_points(points: Iterable[Point], rows: Sequence) -> tuple[Point, ...]:
@@ -123,19 +133,15 @@ class FinitePMSpace:
 
     Each entry is read as a pair of ints: text by :func:`points.read_ratio`,
     a ``Fraction`` as its numerator and denominator, anything else through
-    ``Fraction(v)``; no ``Fraction`` is built for text. A row of text goes
-    through a memo kept for the table, so each distinct text is read once
-    and every other cell is a dict lookup. The gain rests on repeated
-    texts (the benchmark's n=112 tables hold 168 distinct texts in 12,544
-    cells); a table whose texts are all distinct pays for the memo and
-    saves no read, and loads 1.2-1.4x slower than a per-cell read. Other
-    rows are read cell by cell, since hashing a ``Fraction`` costs more
-    than reading it. The pairs are brought over L, the lcm of their
-    denominators as written, and then divided by g = gcd(L, all
-    numerators), so ``den`` = L/g is the least denominator that makes
-    every entry an integer. A table whose L passes ``2**MAX_DEN_BITS`` is
-    refused before any numerator is scaled, and one whose numerator over
-    ``den`` passes ``2**MAX_NUM_BITS`` when it is stored.
+    ``Fraction(v)``. A square table whose first entry is text is read
+    table-wide: each distinct text once, then each row by lookup. Any other
+    table, and one with a fault, is read cell by cell in row order, so the
+    first fault met is the one reported. The pairs are brought over L, the
+    lcm of their denominators as written, and divided by g = gcd(L, all
+    numerators): ``den`` = L/g is the least denominator that makes every
+    entry an integer. A table whose L passes ``2**MAX_DEN_BITS`` is refused
+    before any numerator is scaled, and one whose numerator over ``den``
+    passes ``2**MAX_NUM_BITS`` when it is stored.
 
     The builders that hold integer rows already (:meth:`restrict` and
     ``catalog.random_pm_space``) hand them to the same store through
@@ -148,25 +154,22 @@ class FinitePMSpace:
     def __init__(self, points: Sequence[Point], matrix: Sequence[Sequence[Fraction | int]]):
         pts = _table_points(points, matrix)
         n = len(pts)
-        rows, dens, read = [], set(), {}
-        for row in matrix:
+        if read := _read_texts(matrix, n):
+            self._store(pts, *read)
+            return
+        rows, dens = [], set()
+        for row in matrix:  # in row order, so that the first fault met is reported
             if len(row) != n:
                 raise StructureError("table is not square")
             try:
-                nums, row_dens = _read_row(row, read)
+                nums, row_dens = zip(*map(_read_entry, row))
             except ValueError as exc:
                 raise StructureError(str(exc)) from exc
             if min(nums) < 0:
                 raise StructureError("distances must be nonnegative")
             rows.append((nums, row_dens))
             dens.update(row_dens)
-        den = 1
-        for d in dens:
-            den = math.lcm(den, d)
-            if den.bit_length() > MAX_DEN_BITS:
-                raise StructureError(f"the common denominator of the entries as written "
-                                     f"has more than {MAX_DEN_BITS} bits")
-        scale = {d: den // d for d in dens}
+        den, scale = _lcm_scales(dens)
         self._store(pts, [tuple(map(mul, nums, map(scale.__getitem__, row_dens)))
                           for nums, row_dens in rows], den)
 
@@ -274,9 +277,11 @@ class FinitePMSpace:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FinitePMSpace":
+        if not isinstance(doc, dict):
+            raise StructureError("space JSON must be an object")
         try:
             ids, rows = doc["points"], doc["p"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise StructureError(f"space JSON needs 'points' and 'p': {exc}") from exc
         if not isinstance(ids, list):
             raise StructureError("'points' must be a list of point ids")

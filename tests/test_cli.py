@@ -67,6 +67,13 @@ class TestAxioms:
         code, out, err = run(capsys, "axioms", "--space", str(bad))
         assert code == 2 and out == "" and "a point id is a string or a number" in err
 
+    @pytest.mark.parametrize("doc", [[1], 7, None, "x"], ids=["list", "number", "null", "string"])
+    def test_a_space_file_that_is_no_object_is_refused_by_name(self, capsys, tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "axioms", "--space", str(bad))
+        assert (code, out, err) == (2, "", "error: space JSON must be an object\n")
+
     def test_unknown_space_exits_two(self, capsys):
         code, _, err = run(capsys, "axioms", "--space", "ex9.1")
         assert code == 2 and "error" in err

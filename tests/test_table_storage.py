@@ -341,23 +341,49 @@ def _rows(n, edits):
     return rows
 
 
+PAST_CAP = f"1/{(1 << MAX_DEN_BITS) + 1}"  # a denominator of MAX_DEN_BITS + 1 bits
+
+
 # Each table has two faults; the first one met row by row is reported: a row's
-# length, then its first malformed entry in row order, then its sign.
-@pytest.mark.parametrize("edits, message", [
-    ({(0, 2): "x", (5, None): ""}, "not a rational: 'x'"),
-    ({(2, 1): "-1", (2, 4): "y"}, "not a rational: 'y'"),
-    ({(1, 3): "-2", (3, 0): "z"}, "distances must be nonnegative"),
-    ({(0, 1): "w", (3, 4): "w"}, "not a rational: 'w'"),
-    ({(0, 1): "1e5", (0, 3): "1e5", (4, 2): "1e5"}, "not a rational: '1e5'"),
-    ({(0, j): f"bad{j}" for j in range(1, 6)}, "not a rational: 'bad1'"),
-    ({(1, 0): "1/0", (1, 2): "1_0", (1, 3): "", (1, 4): "1/0"}, "not a rational: '1/0'"),
-    ({(5, None): "", (0, 2): "1/2"}, "table is not square"),
+# length, then its first malformed entry in row order, then its sign; the common
+# denominator's width only once every row is read. Both entries to the
+# constructor, text from JSON and rows from Python, report the same fault.
+@pytest.mark.parametrize("rows, message", [
+    (_rows(6, {(0, 2): "x", (5, None): ""}), "not a rational: 'x'"),
+    (_rows(6, {(2, 1): "-1", (2, 4): "y"}), "not a rational: 'y'"),
+    (_rows(6, {(1, 3): "-2", (3, 0): "z"}), "distances must be nonnegative"),
+    (_rows(6, {(0, 1): "w", (3, 4): "w"}), "not a rational: 'w'"),
+    (_rows(6, {(0, 1): "1e5", (0, 3): "1e5", (4, 2): "1e5"}), "not a rational: '1e5'"),
+    (_rows(6, {(0, j): f"bad{j}" for j in range(1, 6)}), "not a rational: 'bad1'"),
+    (_rows(6, {(1, 0): "1/0", (1, 2): "1_0", (1, 3): "", (1, 4): "1/0"}), "not a rational: '1/0'"),
+    (_rows(6, {(5, None): "", (0, 2): "1/2"}), "table is not square"),
+    ([[]], "table is not square"),
+    (_rows(6, {(1, 2): "x", (3, 4): "-1"}), "not a rational: 'x'"),
+    (_rows(6, {(0, 3): "-1", (4, None): ""}), "distances must be nonnegative"),
+    (_rows(6, {(0, 2): PAST_CAP, (4, 1): "-1"}), "distances must be nonnegative"),
+    (_rows(6, {(1, 4): PAST_CAP, (3, 2): "y"}), "not a rational: 'y'"),
 ], ids=["malformed-before-short-row", "malformed-after-negative", "negative-row-before-malformed",
         "same-malformed-text-twice", "repeated-exponent", "first-of-many-in-row-order",
-        "first-of-mixed-faults", "short-row"])
-def test_the_first_fault_in_row_order_is_reported(edits, message):
-    with pytest.raises(StructureError, match=f"^{message}$"):
-        FinitePMSpace.from_json(_text_table(_rows(6, edits)))
+        "first-of-mixed-faults", "short-row", "empty-first-row", "malformed-before-negative-row",
+        "negative-before-short-row", "negative-after-past-cap-denominator",
+        "malformed-after-past-cap-denominator"])
+def test_the_first_fault_in_row_order_is_reported(rows, message):
+    points = [f"p{i}" for i in range(len(rows))]
+    for load in (lambda: FinitePMSpace.from_json(_text_table(rows)),
+                 lambda: FinitePMSpace(points, rows)):
+        with pytest.raises(StructureError, match=f"^{message}$"):
+            load()
+
+
+class _HashRefused(Fraction):
+    def __hash__(self):
+        raise AssertionError("a Fraction entry was hashed")
+
+
+def test_rows_of_fractions_are_never_hashed():
+    rows = [[_HashRefused(v) for v in row] for row in bench_tables.make_table("valid", 16, 1).matrix]
+    sp = FinitePMSpace([f"p{i}" for i in range(16)], rows)
+    assert (sp.num, sp.den) == table_by_cells(rows)
 
 
 @pytest.mark.parametrize("rows", [
