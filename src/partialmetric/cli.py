@@ -9,6 +9,7 @@ human-readable chatter to stderr; without it, text goes to stdout.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -316,7 +317,10 @@ def _cmd_random(args) -> int:
         _emit(space, [f"seed {args.seed}, {args.n} points"], True)
         return 0
     from . import properties  # the action is "property-run"
-    lo, _, hi = args.seeds.partition(":")
+    span = re.fullmatch(r"(-?\d+)(?::(-?\d+))?", args.seeds)
+    if span is None:
+        raise StructureError(f"seed span {args.seeds!r} is not N or A:B")
+    lo, hi = span.groups()
     seeds = range(int(lo), int(hi)) if hi else range(int(lo))
     if not seeds:
         raise StructureError(f"seed span {args.seeds!r} holds no seed")

@@ -5,9 +5,10 @@ relation must be a partial order whose marked pairs carry the dominance
 values, the minimal balls of its maximal points must cover it, it must
 be T1 iff every point is maximal (the paper's second claim on a finite
 table: Hausdorff, hence metrizable), and every enumerated max-condition
-survivor must keep the bottom set invariant and contract under the
-shifted metric. The topology probes compute; the suite keeps only the
-checks whose two sides run different code, and each runs once here.
+survivor at alpha = 1/2 must fix exactly one point of the bottom set
+(the paper's third claim). The topology probes compute; the suite keeps
+only the checks whose two sides run different code, and each runs once
+here.
 
 The rest are theorems, so no check compares them:
 
@@ -37,7 +38,7 @@ The rest are theorems, so no check compares them:
   smallest balls are disjoint, and the diagonal is the union of the
   squares of the smallest balls iff each holds only its own point.
 
-Two more theorems are what the suite's checks hold the probes to, since
+Three more theorems are what the suite's checks hold the code to, since
 each side of them is computed by different code:
 
 - On a table that passes P1-P4 the relation "mask x holds y", that is
@@ -50,6 +51,18 @@ each side of them is computed by different code:
   p(x,y) >= p(x,x) and p(y,y) <= p(x,y), and P1 excludes equality.
 - T1 holds iff every point is maximal: both say that no mask holds a
   point besides its own.
+- A map T that passes the max-condition at alpha = 1/2 on a table that
+  passes P1-P4 has exactly one fixed point in the bottom set B, where
+  every p(z,z) is the least self-distance rho. The pair (z, z) with z in
+  B gives p(Tz,Tz) <= max{rho/2, rho} = rho, so T maps B into B. For x,
+  y in B the condition reads p(Tx,Ty) <= max{p(x,y)/2, rho}, and
+  p(Tx,Ty) >= rho by P2, so p_bar(Tx,Ty) <= p_bar(x,y)/2 with
+  p_bar = p - rho, since rho >= 0 and p(x,y) >= rho. By Matthews' lemma
+  above p_bar is the metric p_m / 2 on B, so T is a contraction of a
+  finite, hence complete, nonempty metric space, and Banach's theorem
+  gives the one fixed point. The enumerator decides the condition on
+  the table's integer rows; the check applies each survivor's
+  ``MapSpec`` to the points of B and counts the points it fixes.
 """
 
 from __future__ import annotations
@@ -72,10 +85,13 @@ from .core import (
     set_bits,
 )
 from .fixedpoint import check_condition_max, exhaustive_condition_maps
-from .points import Record
+from .points import Record, format_point
 
+# Tables up to this size get the bottom fixed-point check. A table at the
+# limit has about 18 max-condition survivors, and the check makes one
+# T.apply per bottom point of each.
 ENUMERATION_LIMIT = 4
-ALPHA = Fraction(1, 2)  # the max-condition factor, also in the shifted contraction
+ALPHA = Fraction(1, 2)  # the max-condition factor of the bottom fixed-point check
 
 
 @dataclass(frozen=True)
@@ -159,7 +175,7 @@ def check_space_properties(space: FinitePMSpace) -> list[str]:
     for i, row in enumerate(order.dominates):
         for j in compress(range(n), row):
             if i != j and not (m[i][j] == m[i][i] > m[j][j]):
-                problems.append(f"dominance values broken at ({i},{j})")
+                problems.append(f"dominance values: broken at ({i},{j})")
 
     # Each mask is the smallest ball around its center, at radius 1/den.
     # Balls only grow with the radius, so a cover here is a cover at every radius.
@@ -173,20 +189,12 @@ def check_space_properties(space: FinitePMSpace) -> list[str]:
     problems += _metrizability_problems(space, masks, hats)
 
     if n <= ENUMERATION_LIMIT:
-        pts, at_bottom = space.points, [space.index(z) for z in bottom_set(space)]
-        rho = m[at_bottom[0]][at_bottom[0]]
-        a, b = ALPHA.numerator, ALPHA.denominator
+        bottom = bottom_set(space)
         for T in exhaustive_condition_maps(space, check_condition_max, ALPHA):
-            image = {i: space.index(T.apply(pts[i])) for i in at_bottom}
-            for i in at_bottom:
-                if image[i] not in at_bottom:
-                    problems.append(f"survivor {T.name} moves {pts[i]} out of the bottom set")
-            for pos, i in enumerate(at_bottom):
-                for j in at_bottom[pos:]:
-                    # p(Tx,Ty) - rho > ALPHA (p(x,y) - rho), over den and times b
-                    if b * (m[image[i]][image[j]] - rho) > a * (m[i][j] - rho):
-                        problems.append(f"survivor {T.name} breaks the shifted contraction "
-                                        f"at ({pts[i]},{pts[j]})")
+            fixed = [format_point(z) for z in bottom if T.apply(z) == z]
+            if len(fixed) != 1:
+                problems.append(f"bottom fixed point: survivor {T.name} fixes "
+                                f"{{{', '.join(fixed)}}} in the bottom set, not one point")
     return problems
 
 
@@ -202,5 +210,5 @@ def property_run(seeds: Iterable[int], max_n: int = 7) -> PropertyRunResult:
         n = seed % max_n + 1
         space = random_pm_space(seed, n)
         for problem in check_space_properties(space):
-            failures.append(PropertyFailure(seed, n, problem.split(":")[0], problem))
+            failures.append(PropertyFailure(seed, n, problem.partition(":")[0], problem))
     return PropertyRunResult(checked, round(time.monotonic() - start, 3), tuple(failures))

@@ -18,6 +18,9 @@ min-condition check as it once ran: all k iterate steps for every pair.
 table_by_cells reads a table one Fraction per cell, with no memo and no regex.
 greedy_net_by_sets is the greedy eps-net on Fractions and Python sets of
 indices, as totally_bounded_at once ran it on sets of points.
+anchored_space is an input family, not an oracle: valid tables whose
+bottom set is any nonempty subset, where random_pm_space gives one point
+or all of them.
 """
 
 import itertools
@@ -26,7 +29,7 @@ import random
 from fractions import Fraction
 
 from partialmetric.analysis import GDeltaReport, SpecializationOrder
-from partialmetric.catalog import MapSpec
+from partialmetric.catalog import MapSpec, random_pm_space
 from partialmetric.core import FinitePMSpace, bottom_set
 from partialmetric.errors import AxiomFailureError
 from partialmetric.fixedpoint import (DEFAULT_ALPHA_GRID, ConditionReport, ConditionViolation,
@@ -296,3 +299,21 @@ def condition_min_by_loop(space, T, k):
             return ConditionReport("min", {"k": k}, "violated", space.scope, len(pairs),
                                    ConditionViolation(x, y, best, rhs))
     return ConditionReport("min", {"k": k}, "holds", space.scope, len(pairs), None)
+
+
+def anchored_space(seed: int, n: int) -> tuple[FinitePMSpace, set]:
+    """A valid table whose bottom set is a random anchor set A, and A.
+
+    With D the metric d/2 of ``random_pm_space(seed, n, zero_f=True)`` and
+    f(x) = D(x, A) + offset, the table D(x,y) + (f(x) + f(y))/2 satisfies
+    the axioms (f is 1-Lipschitz for D) and has p(x,x) = f(x), least
+    exactly on A.
+    """
+    rng = random.Random(f"anchored/{seed}/{n}")
+    metric = random_pm_space(seed, n, zero_f=True)
+    D = metric.matrix
+    anchors = rng.sample(range(n), rng.randint(1, n))
+    offset = Fraction(rng.randint(0, 12), 12)
+    f = [min(D[i][a] for a in anchors) + offset for i in range(n)]
+    table = [[D[i][j] + (f[i] + f[j]) / 2 for j in range(n)] for i in range(n)]
+    return FinitePMSpace(metric.points, table), {metric.points[a] for a in anchors}

@@ -458,6 +458,11 @@ class TestRandom:
         code, out, err = run(capsys, "random", "property-run", "--seeds", span)
         assert code == 2 and out == "" and "holds no seed" in err
 
+    @pytest.mark.parametrize("span", [":5", "a", "0:5:7"])
+    def test_malformed_seed_span_exits_two(self, capsys, span):
+        code, out, err = run(capsys, "random", "property-run", "--seeds", span)
+        assert code == 2 and out == "" and f"seed span {span!r} is not N or A:B" in err
+
     def test_bad_argument_exits_two(self, capsys):
         code, _, err = run(capsys, "random", "generate", "-n", "0")
         assert code == 2 and "error" in err

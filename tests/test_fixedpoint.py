@@ -36,7 +36,7 @@ from partialmetric import (
 from partialmetric.catalog import BottomDecl, CatalogSpace
 from partialmetric.fixedpoint import DEFAULT_ALPHA_GRID, ConditionViolation
 
-from oracles import condition_min_by_loop
+from oracles import anchored_space, condition_min_by_loop
 
 F = Fraction
 
@@ -312,6 +312,24 @@ class TestSolveOnBottom:
         assert rep.escape_violation is not None
         assert rep.escape_violation.lhs > rep.escape_violation.rhs
 
+    def test_max_survivors_solve_to_the_one_bottom_fixed_point(self):
+        # The suite's claim-3 lemma: a max-condition survivor at 1/2 fixes exactly
+        # one point of the bottom set, and iterating on the bottom set reaches it.
+        survivors = middle = 0
+        for seed in range(300):
+            sp, _ = anchored_space(seed, seed % 3 + 2)
+            bottom = bottom_set(sp)
+            maps = exhaustive_condition_maps(sp, check_condition_max, F(1, 2))
+            survivors += len(maps)
+            middle += 1 < len(bottom) < len(sp)
+            for T in maps:
+                fixed = tuple(z for z in bottom if T.apply(z) == z)
+                rep = solve_on_bottom(sp, T, F(1, 2), bottom[-1])
+                assert len(fixed) == 1, (seed, T.name)
+                assert rep.status == "fixed_point" and rep.unique_in_bottom is True
+                assert rep.fixed_point == fixed[0] and rep.fixed_points_in_bottom == fixed
+        assert survivors >= 800 and middle >= 50, (survivors, middle)
+
 
 class TestConstantMapBottom:
     def test_ex55_excludes_zero(self):
@@ -407,8 +425,11 @@ class TestExhaustiveEnumeration:
                     assert sp.p(x, x) == rho
 
     def test_max_survivors_keep_bottom_and_stay_continuous_there(self):
-        for seed in range(8):
-            sp = random_pm_space(seed, 3)
+        # random_pm_space gives |B| = 1; the anchored tables add 1 < |B| <= n.
+        spaces = ([random_pm_space(seed, 3) for seed in range(8)]
+                  + [anchored_space(seed, seed % 3 + 2)[0] for seed in range(24)])
+        assert sum(1 < len(bottom_set(sp)) < len(sp) for sp in spaces) >= 4
+        for sp in spaces:
             bottom = bottom_set(sp)
             bset = set(bottom)
             for T in exhaustive_condition_maps(sp, check_condition_max, F(1, 2)):

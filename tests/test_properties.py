@@ -1,15 +1,14 @@
 """The property-suite runner, and the invariants it checks once for the probes."""
 
-import random
-from fractions import Fraction
+import dataclasses
 
 import pytest
 
 from partialmetric import (FinitePMSpace, MapSpec, analysis, bottom_set, core, properties,
-                           random_pm_space, separation_class)
+                           separation_class)
 from partialmetric.properties import check_space_properties, property_run
 
-from oracles import separation_by_radius_scan
+from oracles import anchored_space, separation_by_radius_scan
 
 # a >= b: b lies in every ball around a, and a is the only maximal point.
 PAIR = FinitePMSpace(["a", "b"], [["1", "1"], ["1", "0"]])
@@ -26,6 +25,12 @@ def test_property_run_counts_an_iterator():
     assert result.ok
     assert result.spaces_checked == 12
     assert result.to_dict()["spaces_checked"] == 12
+
+
+def _checks_run(monkeypatch, space):
+    """The check names of the failures ``property_run`` reports when every seed draws space."""
+    monkeypatch.setattr(properties, "random_pm_space", lambda seed, n: space)
+    return [failure.check for failure in property_run([0]).failures]
 
 
 def _drop_mark(monkeypatch, drop):
@@ -76,39 +81,37 @@ def test_a_maximal_point_dropped_is_reported(monkeypatch, space, reported):
 
 
 @pytest.mark.parametrize("images, reported", [
-    ("cbc", ["survivor map:c,b,c moves a out of the bottom set",
-             "survivor map:c,b,c breaks the shifted contraction at (a,a)",
-             "survivor map:c,b,c breaks the shifted contraction at (a,b)"]),
-    ("abc", ["survivor map:a,b,c breaks the shifted contraction at (a,b)"]),
-], ids=["leaves-bottom", "no-contraction"])
+    ("bac", ["bottom fixed point: survivor map:b,a,c fixes {} in the bottom set, not one point"]),
+    ("abc", ["bottom fixed point: survivor map:a,b,c fixes {a, b} in the bottom set, "
+             "not one point"]),
+], ids=["none-fixed", "two-fixed"])
 def test_a_planted_survivor_is_reported(monkeypatch, images, reported):
     assert check_space_properties(BOTTOM_PAIR) == []
     T = MapSpec.from_table("map:" + ",".join(images), dict(zip("abc", images)))
     monkeypatch.setattr(properties, "exhaustive_condition_maps", lambda *args: [T])
     assert check_space_properties(BOTTOM_PAIR) == reported
+    assert _checks_run(monkeypatch, BOTTOM_PAIR) == ["bottom fixed point"]
 
 
-def _anchored(seed: int, n: int) -> tuple[FinitePMSpace, set]:
-    """A valid table whose bottom set is a random anchor set A, and A.
+def test_a_mark_without_the_dominance_values_is_reported(monkeypatch):
+    # DISCRETE has p(a,b) = 1 > p(a,a) = 0, so a mark at (0,1) carries no dominance values.
+    assert check_space_properties(DISCRETE) == []
+    real = properties.specialization_order
 
-    With D the metric d/2 of ``random_pm_space(seed, n, zero_f=True)`` and
-    f(x) = D(x, A) + offset, the table D(x,y) + (f(x) + f(y))/2 satisfies
-    the axioms (f is 1-Lipschitz for D) and has p(x,x) = f(x), least
-    exactly on A.
-    """
-    rng = random.Random(f"anchored/{seed}/{n}")
-    metric = random_pm_space(seed, n, zero_f=True)
-    D = metric.matrix
-    anchors = rng.sample(range(n), rng.randint(1, n))
-    offset = Fraction(rng.randint(0, 12), 12)
-    f = [min(D[i][a] for a in anchors) + offset for i in range(n)]
-    table = [[D[i][j] + (f[i] + f[j]) / 2 for j in range(n)] for i in range(n)]
-    return FinitePMSpace(metric.points, table), {metric.points[a] for a in anchors}
+    def marked(sp):
+        order = real(sp)
+        rows = [list(row) for row in order.dominates]
+        rows[0][1] = True
+        return dataclasses.replace(order, dominates=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(properties, "specialization_order", marked)
+    assert check_space_properties(DISCRETE) == ["dominance values: broken at (0,1)"]
+    assert _checks_run(monkeypatch, DISCRETE) == ["dominance values"]
 
 
 def test_bottom_sets_between_one_point_and_all_pass():
     # random_pm_space gives |B| = 1 or |B| = n; these tables fill the range between.
-    spaces = [_anchored(seed, seed % 6 + 2) for seed in range(300)]
+    spaces = [anchored_space(seed, seed % 6 + 2) for seed in range(300)]
     assert all(set(bottom_set(sp)) == anchors for sp, anchors in spaces)
     middle = sum(1 < len(anchors) < len(sp) for sp, anchors in spaces)
     assert middle >= 100, middle
