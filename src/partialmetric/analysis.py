@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .core import (FinitePMSpace, ball, ball_masks, check_axioms, least_gap, minimal_balls,
                    require_table, separation_class)
 from .errors import AxiomFailureError, SizeLimitError, UnsupportedSequenceError
-from .points import Point, Record
+from .points import Frozen, Point, Record
 
 DEFAULT_TOL = Fraction(1, 10**6)
 DEFAULT_HORIZON = 10**4
@@ -40,8 +39,7 @@ _PAIR_WINDOW = 64
 _MAX_PERIOD = 8
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(Frozen):
     """A sequence given as an explicit prefix, a periodic pattern, or a generator.
 
     Indices are 1-based. Periodic specs (those with a ``cycle``) describe
@@ -102,8 +100,7 @@ def _tail_period(values: Sequence) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class _Reading:
+class _Reading(Frozen):
     """The terms read, and the cycle they end in (None if none), from index ``start``."""
 
     terms: tuple[Point, ...]
@@ -137,14 +134,12 @@ def _reading(space, seq: SequenceSpec, horizon: int) -> _Reading:
     return _Reading(terms, terms[-d:], len(terms) - d + 1, bool(seq.cycle))
 
 
-@dataclass(frozen=True)
 class Certificate(Record):
     tail_index: int
     achieved_gap: Fraction
 
 
-@dataclass(frozen=True)
-class _GapVerdict:
+class _GapVerdict(Frozen):
     status: str  # "ok" | "refuted" | "inconclusive"
     certificate: Optional[Certificate]
     witness: tuple[tuple[Point, Fraction], ...]
@@ -181,7 +176,6 @@ def _analyze_gaps(r: _Reading, gap_of: Callable[[Point], Fraction],
     return _GapVerdict("inconclusive", None, (), False, max(window))
 
 
-@dataclass(frozen=True)
 class ConvergenceReport(Record):
     mode: str  # "converges" | "properly_converges" | "inconclusive" | "refuted"
     target: Point
@@ -231,7 +225,6 @@ def properly_converges(space, seq: SequenceSpec, x: Point, tol: Fraction = DEFAU
                              observed_gap=max(observed) if observed else None)
 
 
-@dataclass(frozen=True)
 class CauchyReport(Record):
     verdict: str  # "cauchy_to" | "inconclusive" | "refuted"
     a: Optional[Fraction]
@@ -302,7 +295,6 @@ def limit_set(space: FinitePMSpace, seq: SequenceSpec,
     return frozenset(_cycle_limits(space, r.cycle))
 
 
-@dataclass(frozen=True)
 class SpecializationOrder(Record):
     """The relation x >= y iff y lies in every ball around x, i.e. p(x,y) = p(x,x).
 
@@ -350,7 +342,6 @@ def maximal_points(space: FinitePMSpace) -> frozenset:
     return frozenset(p for y, p in enumerate(space.points) if not dominated >> y & 1)
 
 
-@dataclass(frozen=True)
 class GDeltaReport(Record):
     t1: bool
     stabilization_n: int
@@ -377,7 +368,6 @@ def gdelta_diagonal(space: FinitePMSpace) -> GDeltaReport:
     return GDeltaReport(t1, n0, t1)
 
 
-@dataclass(frozen=True)
 class CoverReport(Record):
     covers: bool
     uncovered: Optional[Point]
@@ -398,7 +388,6 @@ def ball_cover_check(space: FinitePMSpace, centers: Sequence[Point], eps: Fracti
     return CoverReport(True, None, eps)
 
 
-@dataclass(frozen=True)
 class NetReport(Record):
     centers: tuple[Point, ...]
     size: int
@@ -431,7 +420,6 @@ def totally_bounded_at(space: FinitePMSpace, eps: Fraction) -> NetReport:
     return NetReport(tuple(centers), len(centers), eps)
 
 
-@dataclass(frozen=True)
 class SubsequenceWitness(Record):
     kind: str  # "full" | "constant"
     limit: Point

@@ -18,15 +18,14 @@ Stable identifiers: spaces "ex3.1", "ex3.2", "ex3.4", "ex4.4", "ex4.8",
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, ClassVar, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .analysis import SequenceSpec
 from .core import BottomDecl, FinitePMSpace, check_axioms
 from .errors import CatalogKeyError, DomainError, SizeLimitError, UnsupportedSequenceError
-from .points import FSet, Point, format_point, read_points
+from .points import FSet, Frozen, Point, format_point, read_points
 
 F = Fraction
 
@@ -38,14 +37,13 @@ SAMPLE_COUNT = 24
 MAX_RANDOM_POINTS = 200
 
 
-@dataclass(frozen=True, repr=False)
-class CatalogSpace:
+class CatalogSpace(Frozen):
     """A formula-backed (possibly infinite) space with declared metadata.
 
     Pair verdicts run over the canonical sample, so their scope is "sample".
     """
 
-    scope: ClassVar[str] = "sample"
+    scope = "sample"  # a class attribute, not a field
 
     name: str
     evaluator: Callable[[Point, Point], Fraction]
@@ -89,8 +87,7 @@ class CatalogSpace:
         return FinitePMSpace.from_function(self.admit(self.canonical_sample), self.evaluator)
 
 
-@dataclass(frozen=True)
-class MapSpec:
+class MapSpec(Frozen):
     """A self-map of a space; table-backed for finite spaces, formula-backed otherwise."""
 
     name: str
@@ -110,15 +107,14 @@ class MapSpec:
             except KeyError:
                 raise DomainError(f"map {name} has no value at {format_point(x)}") from None
 
-        return cls(name, fn, table=table)
+        return cls(name, fn, table)
 
     @classmethod
     def constant(cls, z: Point, name: Optional[str] = None) -> "MapSpec":
         return cls(name or f"const.{format_point(z)}", lambda _x, _z=z: _z)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Frozen):
     space: CatalogSpace
     maps: tuple[MapSpec, ...] = ()
     sequences: tuple[SequenceSpec, ...] = ()

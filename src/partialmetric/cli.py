@@ -404,9 +404,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse takes a token after a flag for an option unless it reads as a plain
+# negative int or decimal, so "--from -7/1" would lose its value. A token that
+# starts like a negative rational ("-7/1", "-1/2", "-3:5", "-7/1,0/1") is joined
+# to the "--flag" before it as "--flag=-7/1", which argparse reads as the value.
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for token in argv:
+        if (out and _NEGATIVE_VALUE.match(token) and out[-1].startswith("--")
+                and out[-1] != "--" and "=" not in out[-1]):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except (PMError, ValueError, OSError) as exc:

@@ -21,7 +21,6 @@ its own table, so no caller asks which kind of space it holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -29,7 +28,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import kernels
 from .errors import DomainError, MetadataError, SizeLimitError, StructureError
-from .points import Point, Record, format_point, read_json, read_points, read_ratio, to_json
+from .points import (Frozen, Point, Record, format_point, read_json, read_points, read_ratio,
+                     to_json)
 
 AXIOM_NAMES = {1: "P1", 2: "P2", 3: "P3", 4: "P4"}
 
@@ -84,8 +84,7 @@ def _table_points(points: Iterable[Point], rows: Sequence) -> tuple[Point, ...]:
     return pts
 
 
-@dataclass(frozen=True)
-class BottomDecl:
+class BottomDecl(Frozen):
     """A bottom set: its finite ``members`` (possibly none), or ``None`` and a predicate."""
 
     members: Optional[tuple[Point, ...]]
@@ -295,7 +294,6 @@ class FinitePMSpace:
         return cls.from_json_dict(read_json(text))
 
 
-@dataclass(frozen=True)
 class AxiomReport(Record):
     """Verdict of the exhaustive axiom check, with a reproducible witness."""
 
@@ -435,7 +433,6 @@ def set_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
 class SeparationClass(Record):
     t0: bool
     t1: bool

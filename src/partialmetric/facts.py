@@ -16,7 +16,6 @@ each fact's id ``<entry>/<slug>``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -51,21 +50,19 @@ from .fixedpoint import (
     least_factor,
     solve_on_bottom,
 )
-from .points import Record, format_point, read_points
+from .points import Frozen, Record, format_point, read_points
 
 F = Fraction
 
 Check = Callable[[CatalogEntry], tuple[bool, str]]
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(Frozen):
     fact_id: str
     anchor: str
     run: Check
 
 
-@dataclass(frozen=True)
 class FactResult(Record):
     fact_id: str
     anchor: str
@@ -77,7 +74,6 @@ class FactResult(Record):
         return self.verdict == "pass"
 
 
-@dataclass(frozen=True)
 class FactSuiteResult(Record):
     passed: int
     failed: int

@@ -24,9 +24,7 @@ candidate whose trace certificate is within tolerance.
 
 from __future__ import annotations
 
-import inspect
 import itertools
-from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -45,7 +43,6 @@ DEFAULT_ALPHA_GRID = (Fraction(0), Fraction(1, 2), Fraction(3, 4))
 _CONFIRM_WINDOW = 8
 
 
-@dataclass(frozen=True)
 class ConditionViolation(Record):
     x: Point
     y: Point
@@ -53,7 +50,6 @@ class ConditionViolation(Record):
     rhs: Fraction
 
 
-@dataclass(frozen=True)
 class ConditionReport(Record):
     condition: str            # "contraction" | "max" | "min"
     params: dict              # {"alpha": alpha} | {"k": k}
@@ -153,7 +149,6 @@ def check_condition_min(space, T: MapSpec, k: int) -> ConditionReport:
     return _check_pairwise(space, "min", {"k": k}, lhs_rhs)
 
 
-@dataclass(frozen=True)
 class IterationTrace(Record):
     start: Point
     iterates: tuple[Point, ...]
@@ -225,7 +220,6 @@ def iterate(space, T: MapSpec, x0: Point, tol: Fraction = DEFAULT_TOL,
                           cauchy_value, len(xs) - 1, identified)
 
 
-@dataclass(frozen=True)
 class BottomSolveReport(Record):
     status: str  # "fixed_point" | "certified" | "escaped_bottom" | "condition_violated" | "budget_exhausted"
     fixed_point: Optional[Point] = None
@@ -417,7 +411,10 @@ def exhaustive_condition_maps(space: FinitePMSpace, check: Callable[..., Conditi
     n = len(space)
     if n > 5:
         raise SizeLimitError(f"{n}**{n} maps is past the enumeration cutoff (n <= 5)")
-    maps_passing = _MAPS_PASSING.get(inspect.unwrap(check))
+    checker = check
+    while hasattr(checker, "__wrapped__"):  # a wrapper of a checker enumerates as the checker
+        checker = checker.__wrapped__
+    maps_passing = _MAPS_PASSING.get(checker)
     if maps_passing is None:
         raise ValueError(f"the enumeration takes check_contraction, check_condition_max "
                          f"or check_condition_min, not {check!r}")

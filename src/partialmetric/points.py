@@ -11,22 +11,131 @@ splits an id list, and :func:`read_ratio` reads rational text by one
 regular expression (``Fraction``'s grammar less digit separators and
 exponents). :func:`write_json` writes every report's and table's JSON, and
 :func:`format_value` every value the command line prints, at any length.
+
+:class:`Frozen` is the base of every immutable record in the package, and
+:class:`Record` of those whose JSON keys are their field names.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional, Sequence, Union
 
 from .errors import StructureError
 
+_set = object.__setattr__  # writes a field past the raising __setattr__, as __init__ must
 
-@dataclass(frozen=True)
-class FSet:
+
+class FrozenError(AttributeError):
+    """An assignment to, or a deletion of, an attribute of a frozen record."""
+
+
+class Frozen:
+    """Base of an immutable record: named fields, compared and hashed by value.
+
+    A subclass declares its fields as annotated class attributes, after
+    those of its base; a field given a value has that default, and a field
+    without one may not follow a field with one. The fields are read once,
+    when the subclass is made, and every method below serves every class:
+
+    - ``__init__`` takes the fields by position or keyword, fills in the
+      defaults, refuses a missing, unknown or repeated argument with a
+      ``TypeError``, and then calls the class's ``__post_init__``, if any;
+    - ``==`` holds between two records of one class whose field tuples are
+      equal, ``hash`` is the hash of that tuple, and ``repr`` reads
+      ``Name(field=value, ...)``;
+    - assigning or deleting an attribute raises :class:`FrozenError`.
+
+    An instance's fields are ordinary instance attributes, so reading one
+    costs what it costs on any object, and ``functools.cached_property``
+    still caches on it.
+    """
+
+    _fields: tuple = ()      # the field names, in order
+    _defaults: dict = {}     # field name -> default
+    _checked = False         # does the class define __post_init__?
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = [name for name in cls.__dict__.get("__annotations__", ()) if name not in cls._fields]
+        names = cls._fields + tuple(own)
+        defaults = dict(cls._defaults)
+        defaults.update((name, cls.__dict__[name]) for name in own if name in cls.__dict__)
+        for before, name in zip(names, names[1:]):
+            if before in defaults and name not in defaults:
+                raise TypeError(f"non-default argument {name!r} follows default argument")
+        cls._fields, cls._defaults = names, defaults
+        cls._checked = hasattr(cls, "__post_init__")
+        # The field tuple that == and hash read; a tuple even for one field.
+        cls._values = (attrgetter(*names) if len(names) > 1 else
+                       staticmethod(lambda record: tuple(getattr(record, n) for n in names)))
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        i = 0
+        for name in names:  # by index: with zip() the whole call took about 25% longer
+            _set(self, name, args[i])
+            i += 1
+        if self._checked:
+            self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """Every field's value, in order, from arguments that are not all the fields by position."""
+        names, label = self._fields, f"{type(self).__name__}()"
+        if len(args) > len(names):
+            raise TypeError(f"{label} takes {len(names)} arguments but {len(args)} were given")
+        for name in kwargs:
+            if name not in names:
+                raise TypeError(f"{label} got an unexpected keyword argument {name!r}")
+            if names.index(name) < len(args):
+                raise TypeError(f"{label} got multiple values for argument {name!r}")
+        values = list(args)
+        for name in names[len(args):]:
+            if name in kwargs:
+                values.append(kwargs[name])
+            elif name in self._defaults:
+                values.append(self._defaults[name])
+            else:
+                raise TypeError(f"{label} missing required argument {name!r}")
+        return values
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise FrozenError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenError(f"cannot delete field {name!r}")
+
+
+def fields(record) -> tuple[str, ...]:
+    """The field names of a record or of a record class, in order."""
+    return record._fields
+
+
+def replace(record, **changes):
+    """A new record of ``record``'s class, with ``changes`` to some of its fields."""
+    return type(record)(**{**{name: getattr(record, name) for name in record._fields}, **changes})
+
+
+class FSet(Frozen):
     """Subset of a finite ground set, stored as a bitmask over ``ground``."""
 
     ground: tuple[str, ...]
@@ -198,8 +307,8 @@ def write_json(value) -> str:
     return json.dumps(to_json(value), indent=2)
 
 
-class Record:
-    """Base of the dataclass reports whose JSON keys are their field names."""
+class Record(Frozen):
+    """A frozen record whose JSON form is its fields by name, each value by :func:`to_json`."""
 
     def to_dict(self) -> dict:
-        return {f.name: to_json(getattr(self, f.name)) for f in fields(self)}
+        return {name: to_json(getattr(self, name)) for name in self._fields}

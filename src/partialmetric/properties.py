@@ -68,7 +68,6 @@ each side of them is computed by different code:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Iterable
@@ -94,7 +93,6 @@ ENUMERATION_LIMIT = 4
 ALPHA = Fraction(1, 2)  # the max-condition factor of the bottom fixed-point check
 
 
-@dataclass(frozen=True)
 class PropertyFailure(Record):
     seed: int
     n: int
@@ -102,7 +100,6 @@ class PropertyFailure(Record):
     detail: str
 
 
-@dataclass(frozen=True)
 class PropertyRunResult(Record):
     spaces_checked: int
     elapsed_seconds: float  # rounded to the millisecond

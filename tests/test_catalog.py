@@ -1,6 +1,5 @@
 """Catalog formulas, maps, samplers, metadata, and the random generator."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,7 +21,7 @@ from partialmetric import (
     validate_entry,
 )
 from partialmetric.catalog import MAX_RANDOM_POINTS
-from partialmetric.points import FSet
+from partialmetric.points import FSet, replace
 
 from oracles import axiom_violation, random_pm_space_by_fractions
 

@@ -388,6 +388,38 @@ class TestFixedpoint:
         assert time.monotonic() - start < 1
 
 
+class TestNegativeIds:
+    """A value that starts with "-", as pm prints ex3.4's points, is read as its flag's value."""
+
+    def test_iterate_from_a_negative_point(self, capsys):
+        code, out, _ = run(capsys, "fixedpoint", "iterate", "--space", "ex3.4",
+                           "--map", "ex3.4.T", "--from", "-7/1")
+        assert code == 0 and "fixed point -5/1" in out
+
+    def test_a_negative_radius_gets_the_library_refusal(self, capsys):
+        code, out, err = run(capsys, "topology", "net", "--space", "ex3.4", "--eps", "-1/2")
+        assert code == 2 and out == "" and err == "error: net radius must be positive\n"
+
+    @pytest.mark.parametrize("argv, want, line", [
+        (("analyze", "seq", "--space", "ex3.4", "--seq", "ex3.4.recip", "--target", "-5/1"),
+         1, "convergence to -5/1: inconclusive"),
+        (("topology", "cover", "--space", "ex3.4", "--centers", "-7/1,0/1"),
+         1, "covers: False uncovered=-6/1"),
+        (("topology", "net", "--space", "ex3.4", "--restrict", "-7/1,-5/1"),
+         0, "net size 2: -7/1, -5/1"),
+        (("random", "property-run", "--seeds", "-3:5", "--max-n", "3"),
+         0, "seeds -3..4, 8 spaces, 0 failures"),
+    ], ids=["target", "centers", "restrict", "seeds"])
+    def test_every_value_flag_reads_a_negative_id(self, capsys, argv, want, line):
+        code, out, _ = run(capsys, *argv)
+        assert code == want and out.startswith(line)
+
+    def test_a_negative_id_after_a_switch_is_still_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["topology", "net", "--space", "ex3.4", "--json", "-7/1"])
+        assert exc.value.code == 2 and "--json" in capsys.readouterr().err
+
+
 # Every fixed-point action's --json output, byte for byte, with its exit code and
 # the text lines it writes to stderr.
 GOLDEN = json.loads((Path(__file__).parent / "fixedpoint_golden.json").read_text())

@@ -1,11 +1,11 @@
 """The catalog fact suite: everything passes, and sabotage is detected."""
 
 import re
-from dataclasses import replace
 from fractions import Fraction as F
 
 from partialmetric import MapSpec, catalog_names, get_entry
 from partialmetric.facts import _fact_axioms_and_metadata, facts_for_entry, run_fact_suite
+from partialmetric.points import replace
 
 
 def test_every_fact_passes():

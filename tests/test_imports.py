@@ -100,3 +100,13 @@ def test_a_loaded_modules_names_are_bound_before_any_read():
         "[vars(partialmetric).get('check_axioms') is core.check_axioms,"
         " 'run_fact_suite' in vars(partialmetric)]")
     assert bound and not unread
+
+
+@pytest.mark.parametrize("module", ["cli", "facts"])
+def test_no_command_loads_dataclasses_or_inspect(module):
+    # Each loads about 5 ms of modules that no record needs: the records share
+    # one base class in `points`, and the start of every `pm` command pays for
+    # what its import loads.
+    _, added = _fresh(f"before = set(sys.modules)\nimport partialmetric.{module}",
+                      "sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))")
+    assert added == []

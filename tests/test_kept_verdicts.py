@@ -7,7 +7,6 @@ probe that reads the verdict or the balls through them, answers from
 what the table keeps.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -31,6 +30,7 @@ from partialmetric import (
     totally_bounded_at,
 )
 from partialmetric.facts import run_fact_suite
+from partialmetric.points import replace
 
 
 @pytest.fixture

@@ -1,11 +1,10 @@
 """The property-suite runner, and the invariants it checks once for the probes."""
 
-import dataclasses
-
 import pytest
 
 from partialmetric import (FinitePMSpace, MapSpec, analysis, bottom_set, core, properties,
                            separation_class)
+from partialmetric.points import replace
 from partialmetric.properties import check_space_properties, property_run
 
 from oracles import anchored_space, separation_by_radius_scan
@@ -102,7 +101,7 @@ def test_a_mark_without_the_dominance_values_is_reported(monkeypatch):
         order = real(sp)
         rows = [list(row) for row in order.dominates]
         rows[0][1] = True
-        return dataclasses.replace(order, dominates=tuple(map(tuple, rows)))
+        return replace(order, dominates=tuple(map(tuple, rows)))
 
     monkeypatch.setattr(properties, "specialization_order", marked)
     assert check_space_properties(DISCRETE) == ["dominance values: broken at (0,1)"]

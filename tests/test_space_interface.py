@@ -1,6 +1,5 @@
 """A finite table answers the members a catalog space declares, from its own table."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,6 +18,7 @@ from partialmetric import (
     rho_of,
     solve_on_bottom,
 )
+from partialmetric.points import replace
 
 F = Fraction
 

@@ -1,7 +1,6 @@
 """Structure of the package: one space interface, no switch on a class or a kind tag."""
 
 import ast
-import dataclasses
 import inspect
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +10,7 @@ import pytest
 import partialmetric
 from partialmetric import (BottomDecl, PMError, SequenceSpec, StructureError, catalog_map,
                            catalog_space, check_condition_max)
+from partialmetric.points import fields
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "partialmetric"
 SPACE_CLASSES = {"FinitePMSpace", "CatalogSpace"}
@@ -40,7 +40,7 @@ def test_no_module_switches_on_a_space_class():
 
 @pytest.mark.parametrize("cls", [SequenceSpec, BottomDecl])
 def test_no_kind_tag(cls):
-    assert "kind" not in {f.name for f in dataclasses.fields(cls)}
+    assert "kind" not in fields(cls)
 
 
 def test_reports_serialize_by_field_name():
